@@ -123,13 +123,6 @@ def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
     return FinAbGroup.from_parts(a.free_rank + b.free_rank, a.torsion + b.torsion)
 
 
-def direct_sum_all(groups: Iterable[FinAbGroup]) -> FinAbGroup:
-    total = ZERO_GROUP
-    for g in groups:
-        total = direct_sum(total, g)
-    return total
-
-
 def equal_groups(a: FinAbGroup, b: FinAbGroup) -> bool:
     """True iff the canonical forms coincide."""
     return a == b

@@ -26,6 +26,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import Any, Optional, Sequence
 
@@ -439,8 +440,11 @@ def _run_expected(job: JobSpec) -> RunResult:
     return RunResult(EXIT_OK, "\n\n".join(out) + "\n")
 
 
-def _verify_one(spec: GraphSpec) -> tuple[str, dict]:
-    """Worker for verify/sweep; returns (verdict, structured doc)."""
+def _verify_one(output_format: OutputFormat, spec: GraphSpec) -> tuple[str, str]:
+    """Worker for verify/sweep; returns (verdict, output line).
+
+    The structured document is built only for the structured format.
+    """
     expected = expected_table(spec)
     result = compute_ktheory(spec)
     if result.table is None:
@@ -451,13 +455,21 @@ def _verify_one(spec: GraphSpec) -> tuple[str, dict]:
         verdict = "match"
     else:
         verdict = "mismatch"
-    return verdict, _structured_instance(spec, result, expected, verdict)
+    if output_format is OutputFormat.STRUCTURED:
+        doc = _structured_instance(spec, result, expected, verdict)
+        return verdict, json.dumps(doc, sort_keys=True)
+    return verdict, _render_verdict_line(spec, verdict)
 
 
 def _render_verdict_line(spec: GraphSpec, verdict: str) -> str:
     inv = _safe_closed_form(spec)
     suffix = f"  (g={inv.g} h={inv.h} k={inv.k})" if inv else ""
     return f"{_spec_str(spec)}: {verdict}{suffix}"
+
+
+def _pool_size(jobs: int, instances: int) -> int:
+    """Worker count: the requested jobs, capped by the CPUs and the instances."""
+    return min(jobs, os.cpu_count() or 1, instances)
 
 
 def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
@@ -467,21 +479,16 @@ def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
             raise InputError(
                 f"instances[{i}]: verification needs a closed form; rank {spec.rank} has none"
             )
-    if job.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-            results = list(pool.map(_verify_one, specs, chunksize=16))
+    worker = partial(_verify_one, job.output_format)
+    workers = _pool_size(job.jobs, len(specs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, specs, chunksize=16))
     else:
-        results = [_verify_one(spec) for spec in specs]
+        results = [worker(spec) for spec in specs]
 
-    lines = []
-    mismatches = 0
-    for spec, (verdict, doc) in zip(specs, results):
-        if verdict != "match":
-            mismatches += 1
-        if job.output_format is OutputFormat.STRUCTURED:
-            lines.append(json.dumps(doc, sort_keys=True))
-        else:
-            lines.append(_render_verdict_line(spec, verdict))
+    mismatches = sum(verdict != "match" for verdict, _ in results)
+    lines = [line for _, line in results]
     if job.output_format is OutputFormat.TABLE:
         if mismatches == 0:
             lines.append(f"all {len(specs)} instances match")

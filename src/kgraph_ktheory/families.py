@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .abgroup import FinAbGroup, direct_sum_all
+from .abgroup import FinAbGroup, direct_sum
 from .kgraph import (
     ColorKind,
     FamilyCase,
@@ -56,8 +56,12 @@ def closed_form(spec: GraphSpec) -> FamilyInvariants:
         k=gcd_all([1 + 2 * n for n in ns] + loop_terms),
         case=case,
     )
-    # the coprime-factorization identity behind the tables; stripped under -O
-    assert inv.g == inv.h * inv.k and gcd(inv.h, inv.k) == 1, spec
+    # the coprime-factorization identity behind the tables
+    if inv.g != inv.h * inv.k or gcd(inv.h, inv.k) != 1:
+        raise ValueError(
+            f"g = {inv.g} is not the coprime product of h = {inv.h} and k = {inv.k}"
+            f" for {spec}"
+        )
     return inv
 
 
@@ -82,7 +86,7 @@ def expected_table(spec: GraphSpec) -> KTheoryTable:
         for n in range(8):
             h_copies = ko_multiplicities[n % 4]
             k_copies = ko_multiplicities[(n + 2) % 4]
-            ko.append(direct_sum_all([_power(inv.h, h_copies), _power(inv.k, k_copies)]))
+            ko.append(direct_sum(_power(inv.h, h_copies), _power(inv.k, k_copies)))
         ku_entry = _power(inv.g, 2 ** (rank - 2))
     return KTheoryTable(ko=tuple(ko), ku=(ku_entry,) * 8, resolution_notes=())
 

@@ -1,15 +1,18 @@
 """Homology of chain complexes: H_p = ker(d_p) / im(d_{p+1}).
 
-Integer and scalar rows are computed over Z by expressing the image inside
-a kernel basis extracted from Smith-normal-form transforms.  The mod-2 row
-only needs dimensions, so it is plain linear algebra over the two-element
-field.
+Integer and scalar rows are read off one transform-free Smith normal form
+per boundary.  C_p / ker(d_p) embeds in the free module C_{p-1}, so ker(d_p)
+is a direct summand of C_p and contains the saturation of im(d_{p+1}).
+Hence H_p is free of rank n_p - rank d_p - rank d_{p+1} plus the invariant
+factors > 1 of d_{p+1}.  That holds only on a true complex, so every
+composition d_p . d_{p+1} is checked first.  The mod-2 row only needs
+dimensions, so it is plain linear algebra over the two-element field.
 """
 
 from __future__ import annotations
 
-from .abgroup import FinAbGroup, group_from_cokernel
-from .intmat import IntMatrix, mat_mul, snf
+from .abgroup import FinAbGroup
+from .intmat import IntMatrix, snf
 from .kgraph import ChainComplex, CoefficientRow
 
 
@@ -34,47 +37,34 @@ def _rank_mod2(matrix: IntMatrix) -> int:
     return len(pivots)
 
 
-def _check_pair(cc: ChainComplex, p: int) -> None:
-    prod = mat_mul(cc.boundary(p), cc.boundary(p + 1))
-    if cc.coefficient_tag is CoefficientRow.MOD2:
-        prod = prod.mod(2)
-    if not prod.is_zero:
-        raise DefectiveComplexError(f"d_{p} . d_{p + 1} != 0")
-
-
 def homology_at(cc: ChainComplex, p: int) -> FinAbGroup:
     """The p-th homology group as a canonical FinAbGroup.
 
-    Raises if p is out of range or the composition d_p . d_{p+1} fails to
+    Raises if p is out of range or some composition d_q . d_{q+1} fails to
     vanish (defective input).
     """
     if not 0 <= p <= cc.degree:
         raise ValueError(f"degree {p} out of range 0..{cc.degree}")
-    _check_pair(cc, p)
-    d_here = cc.boundary(p)
-    d_next = cc.boundary(p + 1)
-    n = cc.lengths[p]
-
-    if cc.coefficient_tag is CoefficientRow.MOD2:
-        dim = (n - _rank_mod2(d_here)) - _rank_mod2(d_next)
-        return FinAbGroup.from_parts(0, (2,) * dim)
-
-    dec = snf(d_here, want_transforms=True)
-    r = dec.rank
-    # Columns r..n-1 of dec.right form a basis of ker(d_here); coordinates of
-    # any kernel vector x in that basis are the trailing entries of right_inv @ x.
-    coords = mat_mul(dec.right_inv, d_next)
-    for i in range(r):
-        if any(coords.row(i)):
-            raise DefectiveComplexError("image does not lie in the kernel")
-    inside = IntMatrix(
-        n - r,
-        d_next.cols,
-        tuple(x for i in range(r, n) for x in coords.row(i)),
-    )
-    return group_from_cokernel(snf(inside).d, n - r)
+    return homology_all(cc)[p]
 
 
 def homology_all(cc: ChainComplex) -> tuple[FinAbGroup, ...]:
-    """Homology in every degree 0..k."""
-    return tuple(homology_at(cc, p) for p in range(cc.degree + 1))
+    """Homology in every degree 0..k.
+
+    Raises DefectiveComplexError if some composition d_p . d_{p+1} is nonzero.
+    """
+    if not cc.composition_is_zero():
+        raise DefectiveComplexError("some composition d_p . d_{p+1} is nonzero")
+    if cc.coefficient_tag is CoefficientRow.MOD2:
+        ranks = [0, *map(_rank_mod2, cc.differentials), 0]
+        return tuple(
+            FinAbGroup.from_parts(0, (2,) * (n - ranks[p] - ranks[p + 1]))
+            for p, n in enumerate(cc.lengths)
+        )
+    decs = [snf(d) for d in cc.differentials]
+    ranks = [0, *(dec.rank for dec in decs), 0]
+    torsion = [[f for f in dec.d if f > 1] for dec in decs] + [[]]
+    return tuple(
+        FinAbGroup.from_parts(n - ranks[p] - ranks[p + 1], torsion[p])
+        for p, n in enumerate(cc.lengths)
+    )

@@ -226,8 +226,9 @@ class SNFDecomposition:
     dividing order with zeros trailing; ``rank`` counts the nonzero ones.
     When transforms were requested, ``left`` and ``right`` are unimodular
     with ``left @ A @ right = diagonal(d)``, and ``right_inv`` is the exact
-    inverse of ``right`` (tracked during elimination so kernel coordinates
-    come for free).
+    inverse of ``right``, tracked during elimination.  Homology needs only
+    ``d`` and ``rank``; the transforms serve callers that want the bases,
+    at the price of coefficient growth in their entries.
     """
 
     d: tuple[int, ...]
@@ -235,9 +236,6 @@ class SNFDecomposition:
     left: Optional[IntMatrix] = None
     right: Optional[IntMatrix] = None
     right_inv: Optional[IntMatrix] = None
-
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        return IntMatrix.diagonal(rows, cols, self.d)
 
 
 def snf(matrix: IntMatrix, want_transforms: bool = False) -> SNFDecomposition:

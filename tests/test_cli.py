@@ -245,6 +245,18 @@ def test_sweep_parallel_jobs_agree():
     assert parallel.exit_code == EXIT_OK
 
 
+def test_pool_size_is_bounded_by_cpus_and_instances(monkeypatch):
+    import kgraph_ktheory.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+    assert cli_mod._pool_size(100000, 10**6) == 4
+    assert cli_mod._pool_size(100000, 3) == 3
+    assert cli_mod._pool_size(2, 100) == 2
+    assert cli_mod._pool_size(8, 1) == 1
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
+    assert cli_mod._pool_size(100000, 50) == 1
+
+
 def test_lemmas_command():
     ok = run(_job("lemmas", {"pairs": [2, 10], "triples": [2, 5]}))
     assert ok.exit_code == EXIT_OK

@@ -51,6 +51,15 @@ def test_closed_form_unsupported_rank():
         closed_form(spec_of([("T", 2), ("T", 3)]))
 
 
+def test_closed_form_rejects_a_broken_factorization(monkeypatch):
+    # g = h * k with gcd(h, k) = 1 is checked by code that survives python -O
+    import kgraph_ktheory.families as families_mod
+
+    monkeypatch.setattr(families_mod, "gcd_all", lambda terms: 3)
+    with pytest.raises(ValueError, match="coprime product"):
+        closed_form(spec_of([("T", 2), ("D", 5), ("D", 8)]))
+
+
 def test_closed_form_satisfies_hk_lemmas():
     rng = random.Random(14)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import random
+from math import comb, gcd
 
 import pytest
 
@@ -97,6 +98,8 @@ def test_defective_complex_rejected():
     )
     with pytest.raises(DefectiveComplexError):
         homology_at(bad, 1)
+    with pytest.raises(DefectiveComplexError):
+        homology_all(bad)
 
 
 def test_rank3_family_integer_homology():
@@ -205,3 +208,30 @@ def test_family_torsion_annihilated_by_g():
         for group in homology_all(cc):
             assert group.free_rank == 0
             assert all(g % t == 0 for t in group.torsion)
+
+
+def test_koszul_rows_at_large_sizes_match_the_gcd_prediction():
+    # h = gcd{1 - 2n_a, 1 - 2m_c}, k = gcd{1 + 2n_a, 1 - 2m_c}, C = C(r - 1, p):
+    # INTEGER (Z_h + Z_k)^C, SCALAR_SUM Z_h^C, SCALAR_DIFF Z_k^C, MOD2 zero
+    rng = random.Random(2024)
+    for rank in range(1, 7):
+        for _ in range(10):
+            colors = [
+                (rng.choice("DT"), rng.randint(2, 2 ** rng.randint(1, 100)))
+                for _ in range(rank)
+            ]
+            colors[rng.randrange(rank)] = ("T", rng.randint(2, 2 ** rng.randint(1, 100)))
+            loops = [1 - 2 * size for kind, size in colors if kind == "D"]
+            ns = [size for kind, size in colors if kind == "T"]
+            h = gcd(*(1 - 2 * n for n in ns), *loops)
+            k = gcd(*(1 + 2 * n for n in ns), *loops)
+            predicted = {
+                CoefficientRow.INTEGER: lambda c: cyc(*(h, k) * c),
+                CoefficientRow.SCALAR_SUM: lambda c: cyc(*(h,) * c),
+                CoefficientRow.SCALAR_DIFF: lambda c: cyc(*(k,) * c),
+                CoefficientRow.MOD2: lambda c: ZERO_GROUP,
+            }
+            mats = adjacency_matrices(spec_of(colors))
+            for row, group in predicted.items():
+                expected = tuple(group(comb(rank - 1, p)) for p in range(rank + 1))
+                assert homology_all(koszul_complex(mats, row)) == expected, (colors, row)
