@@ -47,6 +47,7 @@ from .spectral import (
     CertificateKind,
     ConvergenceCertificate,
     E2Page,
+    E2Route,
     KTheoryTable,
     Part,
     PipelineResult,

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -43,6 +42,7 @@ from .kgraph import (
 from .spectral import (
     CertificateKind,
     ConvergenceCertificate,
+    E2Route,
     ExtensionRecord,
     KTheoryTable,
     Part,
@@ -216,10 +216,46 @@ def group_to_doc(group: Optional[FinAbGroup]) -> Optional[dict]:
     return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
 
-def group_from_doc(doc: Any) -> Optional[FinAbGroup]:
+def _field(doc: Any, key: str, where: str, kind: type = object) -> Any:
+    """``doc[key]`` of type ``kind``; otherwise InputError naming the field."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise InputError(f"{where or 'document'}: expected an object, got {doc!r}")
+    if key not in doc:
+        raise InputError(f"{name}: missing")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise InputError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_list(doc: Any, key: str, where: str) -> list[int]:
+    values = _field(doc, key, where, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise InputError(f"{where}.{key}: expected a list of integers, got {values!r}")
+    return values
+
+
+def _enum_field(cls: type[Enum], doc: Any, key: str, where: str) -> Any:
+    value = _field(doc, key, where)
+    try:
+        return cls(value)
+    except ValueError:
+        choices = ", ".join(repr(e.value) for e in cls)
+        raise InputError(f"{where}.{key}: expected one of {choices}, got {value!r}") from None
+
+
+def group_from_doc(doc: Any, where: str = "group") -> Optional[FinAbGroup]:
+    """Parse ``{free_rank, torsion}``; InputError names the malformed field."""
     if doc is None:
         return None
-    return FinAbGroup(doc["free_rank"], tuple(doc["torsion"]))
+    free_rank = _field(doc, "free_rank", where, int)
+    torsion = _int_list(doc, "torsion", where)
+    try:
+        return FinAbGroup(free_rank, tuple(torsion))
+    except ValueError as exc:
+        field = "free_rank" if free_rank < 0 else "torsion"
+        raise InputError(f"{where}.{field}: {exc}") from exc
 
 
 def spec_to_doc(spec: GraphSpec) -> dict:
@@ -239,9 +275,13 @@ def _certificate_to_doc(cert: ConvergenceCertificate) -> dict:
     }
 
 
-def _certificate_from_doc(doc: dict) -> ConvergenceCertificate:
+def _certificate_from_doc(doc: Any, where: str) -> ConvergenceCertificate:
     return ConvergenceCertificate(
-        CertificateKind(doc["kind"]), doc["r"], doc["p"], doc["q"], Part(doc["part"])
+        _enum_field(CertificateKind, doc, "kind", where),
+        _field(doc, "r", where, int),
+        _field(doc, "p", where, int),
+        _field(doc, "q", where, int),
+        _enum_field(Part, doc, "part", where),
     )
 
 
@@ -260,19 +300,21 @@ def _extension_to_doc(rec: ExtensionRecord) -> dict:
     }
 
 
-def _extension_from_doc(doc: dict) -> ExtensionRecord:
-    outcome = ExtensionOutcome(
-        resolved=doc["resolved"],
-        group=group_from_doc(doc["group"]),
-        sub=group_from_doc(doc["sub"]),
-        quotient=group_from_doc(doc["quotient"]),
-        certificate=ExtensionCertificate(doc["certificate"]),
-    )
+def _extension_from_doc(doc: Any, where: str) -> ExtensionRecord:
+    resolved = _field(doc, "resolved", where, bool)
+    group = group_from_doc(_field(doc, "group", where), f"{where}.group")
+    sub = group_from_doc(_field(doc, "sub", where, dict), f"{where}.sub")
+    quotient = group_from_doc(_field(doc, "quotient", where, dict), f"{where}.quotient")
+    certificate = _enum_field(ExtensionCertificate, doc, "certificate", where)
+    try:
+        outcome = ExtensionOutcome(resolved, group, sub, quotient, certificate)
+    except ValueError as exc:
+        raise InputError(f"{where}.resolved: {exc}") from exc
     return ExtensionRecord(
-        part=Part(doc["part"]),
-        degree=doc["degree"],
-        sub_position=tuple(doc["sub_position"]),
-        quotient_position=tuple(doc["quotient_position"]),
+        part=_enum_field(Part, doc, "part", where),
+        degree=_field(doc, "degree", where, int),
+        sub_position=tuple(_int_list(doc, "sub_position", where)),
+        quotient_position=tuple(_int_list(doc, "quotient_position", where)),
         outcome=outcome,
     )
 
@@ -294,14 +336,22 @@ def table_to_doc(table: KTheoryTable) -> dict:
     }
 
 
-def table_from_doc(doc: dict) -> KTheoryTable:
-    notes: list[object] = [_certificate_from_doc(c) for c in doc.get("certificates", [])]
-    notes.extend(_extension_from_doc(e) for e in doc.get("extensions", []))
-    return KTheoryTable(
-        ko=tuple(group_from_doc(g) for g in doc["ko"]),
-        ku=tuple(group_from_doc(g) for g in doc["ku"]),
-        resolution_notes=tuple(notes),
-    )
+def table_from_doc(doc: Any) -> KTheoryTable:
+    """Parse a ``table_to_doc`` document; InputError names a malformed field."""
+    groups = {}
+    for key in ("ko", "ku"):
+        items = _field(doc, key, "", list)
+        if len(items) != 8:
+            raise InputError(f"{key}: expected 8 groups, got {len(items)}")
+        groups[key] = tuple(group_from_doc(g, f"{key}[{i}]") for i, g in enumerate(items))
+    notes: list[object] = []
+    for key, parse in (
+        ("certificates", _certificate_from_doc),
+        ("extensions", _extension_from_doc),
+    ):
+        items = _field(doc, key, "", list) if key in doc else []
+        notes.extend(parse(item, f"{key}[{i}]") for i, item in enumerate(items))
+    return KTheoryTable(ko=groups["ko"], ku=groups["ku"], resolution_notes=tuple(notes))
 
 
 def _invariants_doc(spec: GraphSpec) -> Optional[dict]:
@@ -403,7 +453,9 @@ def _run_compute(job: JobSpec) -> RunResult:
     saw_unknown = False
     for i, spec in enumerate(specs):
         _check_rank(spec, job.max_rank, f"instances[{i}]")
-        result = compute_ktheory(spec)
+        # Only compute takes the GCD route: verify and sweep compare against
+        # closed forms built from the same gcds, so they stay on SNF.
+        result = compute_ktheory(spec, route=E2Route.GCD)
         saw_unknown = saw_unknown or not result.convergence.converged
         if job.output_format is OutputFormat.STRUCTURED:
             out.append(json.dumps(_structured_instance(spec, result, None), sort_keys=True))
@@ -482,6 +534,8 @@ def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
     worker = partial(_verify_one, job.output_format)
     workers = _pool_size(job.jobs, len(specs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, specs, chunksize=16))
     else:

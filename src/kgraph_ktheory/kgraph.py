@@ -235,8 +235,13 @@ def koszul_complex(
     for m in mats:
         if m.rows != m.cols or m.rows != v0:
             raise ValueError("all matrices must be square of equal size")
+    # A scalar matrix commutes with every matrix of its size, so only pairs
+    # of non-scalar matrices need the two products.
+    scalar = [m == IntMatrix.identity(v0).scaled(m.entries[0] if v0 else 0) for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
+            if scalar[i] or scalar[j]:
+                continue
             if mat_mul(mats[i], mats[j]) != mat_mul(mats[j], mats[i]):
                 raise NonCommutingError(f"matrices {i} and {j} do not commute")
 

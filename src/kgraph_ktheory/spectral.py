@@ -10,6 +10,34 @@ carry an explicit certificate, and the only rules encoded are the ones the
 underlying arguments actually license.  A differential admitting no
 certificate makes the whole computation return "unknown" rather than a
 guess; this genuinely happens from rank 6 on.
+
+Rows are computed by one of two routes, chosen by ``E2Route``.  The SNF
+route builds each Koszul complex and reads its homology off Smith normal
+forms; it is the default, and the only route the cross-check against the
+closed forms of ``families`` may use, because the GCD route below evaluates
+the very gcds those closed forms are made of.
+
+The GCD route reads every row off the alphabet sizes.  Let a_i and b_i be
+the 1x1 blocks of color i on the scalar sum and difference rows (1 - 2m for
+a loop color, and 1 - 2n, respectively 1 + 2n, for a crossing color), and
+put h = gcd(a_i), k = gcd(b_i) and C = C(rank - 1, p).  Then H_p is
+(Z_h + Z_k)^C on the integer row, Z_h^C on the scalar sum row, Z_k^C on the
+scalar difference row, and 0 on the mod-2 row.  Proof:
+
+- Multiplication by any block B_i is null-homotopic on a Koszul complex, so
+  B_i and hence det(B_i) = B_i adj(B_i) annihilate its homology H.  These
+  determinants, (1 - 2m)^2 and 1 - 4n^2 (or a_i, b_i themselves on the
+  scalar rows), are odd, so H = H (x) Z[1/2], the homology of the complex
+  tensored with Z[1/2].
+- Over Z[1/2] the basis e_1 + e_2, e_1 - e_2 of Z^2 diagonalizes every
+  integer block at once: the loop block becomes (1 - 2m) I and the crossing
+  block diag(1 - 2n, 1 + 2n).  So the integer row splits as the scalar sum
+  row plus the scalar difference row.
+- The Koszul complex on integers c_1..c_k depends on (c_1..c_k) only up to
+  GL_k(Z), which moves it to (gcd, 0, ..., 0).  Hence it is isomorphic to
+  K(gcd) (x) K(0)^(k-1), whose H_p is Z_gcd^C(k-1, p) when gcd is nonzero.
+- Adjacency matrices have even entries, so on the mod-2 row every block is
+  the identity and the complex is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from .abgroup import (
@@ -34,6 +62,7 @@ from .kgraph import (
     InvalidGraphError,
     Involution,
     adjacency_matrices,
+    coefficient_block,
     involution_row_schedule,
     koszul_complex,
     validate,
@@ -76,6 +105,13 @@ def _c_iso_on_row(involution: Involution, q: int) -> bool:
     return (involution, q % 8) in _C_ISO_ROWS
 
 
+class E2Route(Enum):
+    """How the homology of each E^2 row is computed (see the module docstring)."""
+
+    SNF = "snf"
+    GCD = "gcd"
+
+
 @lru_cache(maxsize=1024)
 def _row_homology(
     mats: tuple[IntMatrix, ...], row: CoefficientRow
@@ -83,30 +119,49 @@ def _row_homology(
     return homology_all(koszul_complex(mats, row))
 
 
+def _gcd_row_homology(
+    mats: tuple[IntMatrix, ...], row: CoefficientRow
+) -> tuple[FinAbGroup, ...]:
+    rank = len(mats)
+    if row is CoefficientRow.MOD2:
+        return (ZERO_GROUP,) * (rank + 1)
+    h = gcd(*(coefficient_block(m, CoefficientRow.SCALAR_SUM).at(0, 0) for m in mats))
+    k = gcd(*(coefficient_block(m, CoefficientRow.SCALAR_DIFF).at(0, 0) for m in mats))
+    moduli = {
+        CoefficientRow.INTEGER: (h, k),
+        CoefficientRow.SCALAR_SUM: (h,),
+        CoefficientRow.SCALAR_DIFF: (k,),
+    }[row]
+    return tuple(
+        FinAbGroup.from_parts(0, moduli * comb(rank - 1, p)) for p in range(rank + 1)
+    )
+
+
 def _build_page(
-    involution: Involution, part: Part, mats: tuple[IntMatrix, ...]
+    involution: Involution, part: Part, mats: tuple[IntMatrix, ...], route: E2Route
 ) -> E2Page:
     k = len(mats)
     period, schedule = involution_row_schedule(involution, part is Part.COMPLEX)
-    columns = []
-    for p in range(k + 1):
-        col = []
-        for q in range(period):
-            tag = schedule.get(q)
-            col.append(_row_homology(mats, tag)[p] if tag is not None else ZERO_GROUP)
-        columns.append(tuple(col))
-    return E2Page(part=part, k=k, entries=tuple(columns))
+    homology = _row_homology if route is E2Route.SNF else _gcd_row_homology
+    rows = {tag: homology(mats, tag) for tag in set(schedule.values())}
+    zero_row = (ZERO_GROUP,) * (k + 1)
+    by_q = [rows[schedule[q]] if q in schedule else zero_row for q in range(period)]
+    return E2Page(
+        part=part, k=k, entries=tuple(tuple(row[p] for row in by_q) for p in range(k + 1))
+    )
 
 
-def build_e2(spec: GraphSpec) -> tuple[E2Page, E2Page]:
+def build_e2(
+    spec: GraphSpec, *, route: E2Route = E2Route.SNF
+) -> tuple[E2Page, E2Page]:
     """E^2 pages (real, complex) for a validated spec."""
     report = validate(spec)
     if not report.ok:
         raise InvalidGraphError(report)
     mats = adjacency_matrices(spec)
     return (
-        _build_page(spec.involution, Part.REAL, mats),
-        _build_page(spec.involution, Part.COMPLEX, mats),
+        _build_page(spec.involution, Part.REAL, mats, route),
+        _build_page(spec.involution, Part.COMPLEX, mats, route),
     )
 
 
@@ -196,22 +251,25 @@ def _shadow_certified_through(shadow: E2Page) -> int:
     return k
 
 
-def _shadow_page(spec: GraphSpec, real: E2Page) -> E2Page:
+def _shadow_page(spec: GraphSpec, real: E2Page, route: E2Route) -> E2Page:
     if spec.involution is Involution.TRIVIAL:
         return real
-    return _build_page(Involution.TRIVIAL, Part.REAL, adjacency_matrices(spec))
+    return _build_page(Involution.TRIVIAL, Part.REAL, adjacency_matrices(spec), route)
 
 
-def converge(pages: tuple[E2Page, E2Page], spec: GraphSpec) -> ConvergenceResult:
+def converge(
+    pages: tuple[E2Page, E2Page], spec: GraphSpec, *, route: E2Route = E2Route.SNF
+) -> ConvergenceResult:
     """Certify all candidate differentials d_r: (p, q) -> (p-r, q+r-1).
 
     Pages are scanned for r = 2..k.  If some differential has no certificate
     the scan stops after that page and the result cites every uncertified
-    location found on it.
+    location found on it.  The swap involution's shadow page is built by
+    ``route``.
     """
     real, cplx = pages
     k = real.k
-    shadow = _shadow_page(spec, real)
+    shadow = _shadow_page(spec, real, route)
     shadow_ok_through = _shadow_certified_through(shadow)
     certificates: list[ConvergenceCertificate] = []
     unknown: list[ConvergenceCertificate] = []
@@ -238,6 +296,10 @@ def converge(pages: tuple[E2Page, E2Page], spec: GraphSpec) -> ConvergenceResult
 
 class UnknownConvergenceError(RuntimeError):
     """Assembly was requested although some differential is uncertified."""
+
+
+class BottShiftDisagreementError(RuntimeError):
+    """Two Bott-shift representatives of one KU group resolved to different groups."""
 
 
 @dataclass(frozen=True)
@@ -343,8 +405,10 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
     The real part of degree n is the diagonal p + q = n of the real page.
     The complex part has period 2, but which certificates are available
     depends on the representative diagonal chosen (the real shadow has
-    period 8), so all four Bott shifts of a diagonal are tried and the
-    first fully resolved one wins; the results cannot disagree.
+    period 8), so all four Bott shifts of a diagonal are composed and the
+    first fully resolved one is kept, with its extension records (the first
+    shift's records when none resolves).  Resolved shifts of one parity
+    must agree; BottShiftDisagreementError is raised if they do not.
     """
     if not conv.converged:
         raise UnknownConvergenceError(
@@ -360,24 +424,22 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
         notes.extend(records)
         ko.append(group)
 
-    ku_by_parity: dict[int, Optional[FinAbGroup]] = {}
+    ku_by_parity: list[Optional[FinAbGroup]] = []
     for parity in (0, 1):
-        fallback_records: Optional[list[ExtensionRecord]] = None
-        resolved_group: Optional[FinAbGroup] = None
-        for shift in (0, 2, 4, 6):
-            n = parity + shift
+        shifts = []
+        for n in range(parity, 8, 2):
             entries = _diagonal(conv.cplx, n)
             cmap_ok = _cmap_splitting_available(entries, conv.shadow, n)
-            group, records = _compose(entries, Part.COMPLEX, n, cmap_for_step=cmap_ok)
-            if fallback_records is None:
-                fallback_records = records
-            if group is not None:
-                resolved_group = group
-                notes.extend(records)
-                break
-        if resolved_group is None and fallback_records is not None:
-            notes.extend(fallback_records)
-        ku_by_parity[parity] = resolved_group
+            shifts.append(_compose(entries, Part.COMPLEX, n, cmap_for_step=cmap_ok))
+        resolved = [(group, records) for group, records in shifts if group is not None]
+        if any(group != resolved[0][0] for group, _ in resolved):
+            raise BottShiftDisagreementError(
+                f"KU_{parity}: Bott shifts resolve to "
+                + ", ".join(str(group) for group, _ in resolved)
+            )
+        group, records = resolved[0] if resolved else (None, shifts[0][1])
+        notes.extend(records)
+        ku_by_parity.append(group)
     ku = tuple(ku_by_parity[n % 2] for n in range(8))
 
     return KTheoryTable(ko=tuple(ko), ku=ku, resolution_notes=tuple(notes))
@@ -398,10 +460,10 @@ class PipelineResult:
         return "ok" if self.convergence.converged else "unknown-differential"
 
 
-def compute_ktheory(spec: GraphSpec) -> PipelineResult:
+def compute_ktheory(spec: GraphSpec, *, route: E2Route = E2Route.SNF) -> PipelineResult:
     """Full pipeline: E^2 pages, convergence certificates, assembled table."""
-    pages = build_e2(spec)
-    conv = converge(pages, spec)
+    pages = build_e2(spec, route=route)
+    conv = converge(pages, spec, route=route)
     table = assemble(conv, spec) if conv.converged else None
     return PipelineResult(
         spec=spec, real=pages[0], cplx=pages[1], convergence=conv, table=table

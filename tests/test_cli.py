@@ -306,3 +306,50 @@ def test_cli_subprocess_end_to_end(tmp_path):
         text=True,
     )
     assert proc.returncode == EXIT_INPUT
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, kgraph_ktheory.cli; "
+            "print('concurrent.futures.process' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_malformed_table_documents_name_the_field():
+    good = table_to_doc(compute_ktheory(spec_of([("T", 2)] * 5)).table)
+
+    def broken(edit):
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        return doc
+
+    cases = [
+        (lambda d: d["ko"][3].pop("torsion"), r"^ko\[3\]\.torsion: missing"),
+        (lambda d: d["ku"][1].update(free_rank="0"), r"^ku\[1\]\.free_rank: expected int"),
+        (lambda d: d["ko"][1].update(torsion=[15, 3]), r"^ko\[1\]\.torsion: .*dividing chain"),
+        (lambda d: d["ko"][2].update(torsion=[3, "5"]), r"^ko\[2\]\.torsion: expected a list"),
+        (lambda d: d["ku"].pop(), r"^ku: expected 8 groups"),
+        (lambda d: d.pop("ko"), r"^ko: missing"),
+        (lambda d: d["certificates"][0].update(kind="Guess"), r"^certificates\[0\]\.kind"),
+        (lambda d: d["certificates"][4].pop("r"), r"^certificates\[4\]\.r: missing"),
+        (lambda d: d["extensions"][0].update(resolved="yes"), r"^extensions\[0\]\.resolved"),
+        (
+            lambda d: d["extensions"][0]["sub"].update(torsion=[6, 4]),
+            r"^extensions\[0\]\.sub\.torsion",
+        ),
+        (lambda d: d["extensions"][3].update(group=None), r"^extensions\[3\]\.resolved: "),
+    ]
+    for edit, message in cases:
+        with pytest.raises(InputError, match=message):
+            table_from_doc(broken(edit))
+    with pytest.raises(InputError, match="^document: expected an object"):
+        table_from_doc([])
+    assert table_from_doc(broken(lambda d: None)) == table_from_doc(good)

@@ -201,3 +201,24 @@ def test_enumerate_family_case():
         enumerate_family_case(spec_of([("T", 2), ("T", 2)]))
     with pytest.raises(UnsupportedRankError):
         enumerate_family_case(spec_of([("T", 2)] * 5))
+
+
+def test_koszul_multiplies_only_non_scalar_pairs(monkeypatch):
+    import kgraph_ktheory.kgraph as kgraph
+
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(kgraph, "mat_mul", counting_mul)
+    # D blocks are scalar: of the six pairs only the one T-T pair is multiplied
+    mats = adjacency_matrices(spec_of([("T", 2), ("D", 3), ("D", 5), ("T", 7)]))
+    koszul_complex(mats, CoefficientRow.INTEGER)
+    assert calls == [(mats[0], mats[3]), (mats[3], mats[0])]
+    scalar = IntMatrix.from_rows([[3, 0], [0, 3]])
+    a = IntMatrix.from_rows([[0, 1], [0, 0]])
+    b = IntMatrix.from_rows([[1, 0], [1, 1]])
+    with pytest.raises(NonCommutingError, match="matrices 1 and 2"):
+        koszul_complex((scalar, a, b), CoefficientRow.INTEGER)

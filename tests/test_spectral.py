@@ -273,3 +273,22 @@ def test_zero_table_for_g_one():
 def test_table_shape_guard():
     with pytest.raises(ValueError):
         KTheoryTable(ko=(ZERO_GROUP,) * 7, ku=(ZERO_GROUP,) * 8)
+
+
+def test_assemble_rejects_disagreeing_bott_shifts():
+    from kgraph_ktheory.spectral import (
+        BottShiftDisagreementError,
+        ConvergenceResult,
+        E2Page,
+    )
+
+    # A forged complex page of period 8 whose diagonals 0 and 2, two Bott
+    # shifts of KU_0, both resolve but to different groups.
+    zero_row = (ZERO_GROUP,) * 8
+    forged = E2Page(Part.REAL, 1, ((cyc(3), ZERO_GROUP, cyc(5)) + (ZERO_GROUP,) * 5, zero_row))
+    blank = E2Page(Part.REAL, 1, (zero_row, zero_row))
+    conv = ConvergenceResult(
+        converged=True, real=blank, cplx=forged, shadow=blank, certificates=(), unknown=()
+    )
+    with pytest.raises(BottShiftDisagreementError, match="KU_0: .*Z_3, Z_5"):
+        assemble(conv, spec_of([("T", 2)]))
