@@ -38,6 +38,7 @@ from .kgraph import (
     InvalidGraphError,
     Involution,
     UnsupportedRankError,
+    validate,
 )
 from .spectral import (
     CertificateKind,
@@ -57,6 +58,7 @@ EXIT_UNKNOWN = 3
 
 HARD_MAX_RANK = 6
 SWEEP_GUARD = 10**6
+INVOLUTIONS = ("trivial", "swap")
 
 
 class InputError(ValueError):
@@ -96,56 +98,59 @@ class RunResult:
 # input parsing
 
 
-def _parse_color(doc: Any, where: str) -> ColorSpec:
-    if not isinstance(doc, dict):
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool: JSON true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _nonempty_list(value: Any, name: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{name}: expected a non-empty list")
+    return value
+
+
+def _one_of(value: Any, choices: Sequence[str], name: str) -> str:
+    if value not in choices:
+        quoted = [f'"{c}"' for c in choices]
+        expected = f"{', '.join(quoted[:-1])} or {quoted[-1]}"
+        raise InputError(f"{name}: expected {expected}, got {value!r}")
+    return value
+
+
+def _color_kind(color: Any, where: str) -> ColorKind:
+    if not isinstance(color, dict):
         raise InputError(f"{where}: expected an object with kind and size")
-    kind = doc.get("kind")
-    if kind not in ("D", "T"):
-        raise InputError(f'{where}.kind: expected "D" or "T", got {kind!r}')
-    size = doc.get("size")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise InputError(f"{where}.size: expected a positive integer, got {size!r}")
-    return ColorSpec(ColorKind(kind), size)
-
-
-def _parse_involution(doc: Any, where: str) -> Involution:
-    value = doc.get("involution", "trivial")
-    if value not in ("trivial", "swap"):
-        raise InputError(f'{where}.involution: expected "trivial" or "swap", got {value!r}')
-    return Involution(value)
+    return ColorKind(_one_of(color.get("kind"), ("D", "T"), f"{where}.kind"))
 
 
 def parse_spec(doc: Any, where: str = "spec") -> GraphSpec:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object")
-    colors = doc.get("colors")
-    if not isinstance(colors, list) or not colors:
-        raise InputError(f"{where}.colors: expected a non-empty list")
-    parsed = tuple(
-        _parse_color(c, f"{where}.colors[{i}]") for i, c in enumerate(colors)
-    )
-    return GraphSpec(parsed, _parse_involution(doc, where))
+    colors = []
+    for i, c in enumerate(_nonempty_list(doc.get("colors"), f"{where}.colors")):
+        at = f"{where}.colors[{i}]"
+        kind = _color_kind(c, at)
+        size = c.get("size")
+        if not _is_int(size) or size < 1:
+            raise InputError(f"{at}.size: expected a positive integer, got {size!r}")
+        colors.append(ColorSpec(kind, size))
+    involution = _one_of(doc.get("involution", "trivial"), INVOLUTIONS, f"{where}.involution")
+    return GraphSpec(tuple(colors), Involution(involution))
 
 
 def parse_instances(doc: Any) -> list[GraphSpec]:
     if isinstance(doc, dict) and "instances" in doc:
-        items = doc["instances"]
-        if not isinstance(items, list) or not items:
-            raise InputError("instances: expected a non-empty list")
+        items = _nonempty_list(doc["instances"], "instances")
         return [parse_spec(item, f"instances[{i}]") for i, item in enumerate(items)]
     return [parse_spec(doc)]
 
 
 def _size_range(value: Any, where: str) -> range:
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         if value < 1:
-            raise InputError(f"{where}: sizes must be positive")
+            raise InputError(f"{where}: sizes must be positive, got {value}")
         return range(value, value + 1)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value):
         lo, hi = value
         if lo < 1 or hi < lo:
             raise InputError(f"{where}: expected 1 <= lo <= hi, got {value}")
@@ -157,30 +162,22 @@ def expand_sweep(doc: Any) -> list[GraphSpec]:
     """Expand a ranged document into the full (bounded) instance grid."""
     if not isinstance(doc, dict):
         raise InputError("sweep document: expected an object")
-    colors = doc.get("colors")
-    if not isinstance(colors, list) or not colors:
-        raise InputError("colors: expected a non-empty list")
     kinds = []
     ranges = []
-    for i, c in enumerate(colors):
-        where = f"colors[{i}]"
-        if not isinstance(c, dict) or c.get("kind") not in ("D", "T"):
-            raise InputError(f'{where}.kind: expected "D" or "T"')
-        kinds.append(ColorKind(c["kind"]))
-        ranges.append(_size_range(c.get("size"), f"{where}.size"))
-    inv_value = doc.get("involution", "both")
-    if inv_value == "both":
-        involutions = [Involution.TRIVIAL, Involution.SWAP]
-    elif inv_value in ("trivial", "swap"):
-        involutions = [Involution(inv_value)]
-    else:
-        raise InputError(f'involution: expected "trivial", "swap" or "both", got {inv_value!r}')
+    for i, c in enumerate(_nonempty_list(doc.get("colors"), "colors")):
+        kinds.append(_color_kind(c, f"colors[{i}]"))
+        ranges.append(_size_range(c.get("size"), f"colors[{i}].size"))
+    involution = _one_of(doc.get("involution", "both"), INVOLUTIONS + ("both",), "involution")
+    involutions = list(Involution) if involution == "both" else [Involution(involution)]
 
+    # Counted from the bounds: len() of a range past sys.maxsize overflows.
     total = len(involutions)
-    for r in ranges:
-        total *= len(r)
+    for i, r in enumerate(ranges):
+        total *= r.stop - r.start
         if total > SWEEP_GUARD:
-            raise InputError(f"sweep grid exceeds the {SWEEP_GUARD} instance guard")
+            raise InputError(
+                f"colors[{i}].size: sweep grid exceeds the {SWEEP_GUARD} instance guard"
+            )
     grid = []
     for sizes in product(*ranges):
         for inv in involutions:
@@ -199,11 +196,19 @@ def _instance_sort_key(spec: GraphSpec) -> tuple:
     )
 
 
-def _check_rank(spec: GraphSpec, max_rank: int, where: str) -> None:
-    if spec.rank > min(max_rank, HARD_MAX_RANK):
-        raise InputError(
-            f"{where}: rank {spec.rank} exceeds the maximum {min(max_rank, HARD_MAX_RANK)}"
-        )
+def _check_instances(specs: list[GraphSpec], max_rank: int, verify: bool) -> None:
+    """Reject a bad instance before any work starts: pool workers must never see one."""
+    cap = min(max_rank, HARD_MAX_RANK)
+    for i, spec in enumerate(specs):
+        if spec.rank > cap:
+            raise InputError(f"instances[{i}]: rank {spec.rank} exceeds the maximum {cap}")
+        if verify and spec.rank not in (3, 4):
+            raise InputError(
+                f"instances[{i}]: verification needs a closed form; rank {spec.rank} has none"
+            )
+        report = validate(spec)
+        if not report.ok:
+            raise InvalidGraphError(report)
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +229,20 @@ def _field(doc: Any, key: str, where: str, kind: type = object) -> Any:
     if key not in doc:
         raise InputError(f"{name}: missing")
     value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
         raise InputError(f"{name}: expected {kind.__name__}, got {value!r}")
     return value
 
 
 def _int_list(doc: Any, key: str, where: str) -> list[int]:
     values = _field(doc, key, where, list)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if not all(_is_int(v) for v in values):
         raise InputError(f"{where}.{key}: expected a list of integers, got {values!r}")
     return values
 
 
 def _enum_field(cls: type[Enum], doc: Any, key: str, where: str) -> Any:
-    value = _field(doc, key, where)
-    try:
-        return cls(value)
-    except ValueError:
-        choices = ", ".join(repr(e.value) for e in cls)
-        raise InputError(f"{where}.{key}: expected one of {choices}, got {value!r}") from None
+    return cls(_one_of(_field(doc, key, where), [e.value for e in cls], f"{where}.{key}"))
 
 
 def group_from_doc(doc: Any, where: str = "group") -> Optional[FinAbGroup]:
@@ -320,18 +320,11 @@ def _extension_from_doc(doc: Any, where: str) -> ExtensionRecord:
 
 
 def table_to_doc(table: KTheoryTable) -> dict:
-    certificates = []
-    extensions = []
-    for note in table.resolution_notes:
-        if isinstance(note, ConvergenceCertificate):
-            certificates.append(_certificate_to_doc(note))
-        elif isinstance(note, ExtensionRecord):
-            extensions.append(_extension_to_doc(note))
     return {
         "ko": [group_to_doc(g) for g in table.ko],
         "ku": [group_to_doc(g) for g in table.ku],
-        "certificates": certificates,
-        "extensions": extensions,
+        "certificates": [_certificate_to_doc(c) for c in table.certificates],
+        "extensions": [_extension_to_doc(e) for e in table.extensions],
         "resolved": table.fully_resolved,
     }
 
@@ -344,20 +337,19 @@ def table_from_doc(doc: Any) -> KTheoryTable:
         if len(items) != 8:
             raise InputError(f"{key}: expected 8 groups, got {len(items)}")
         groups[key] = tuple(group_from_doc(g, f"{key}[{i}]") for i, g in enumerate(items))
-    notes: list[object] = []
+    provenance = {}
     for key, parse in (
         ("certificates", _certificate_from_doc),
         ("extensions", _extension_from_doc),
     ):
         items = _field(doc, key, "", list) if key in doc else []
-        notes.extend(parse(item, f"{key}[{i}]") for i, item in enumerate(items))
-    return KTheoryTable(ko=groups["ko"], ku=groups["ku"], resolution_notes=tuple(notes))
+        provenance[key] = tuple(parse(item, f"{key}[{i}]") for i, item in enumerate(items))
+    return KTheoryTable(ko=groups["ko"], ku=groups["ku"], **provenance)
 
 
 def _invariants_doc(spec: GraphSpec) -> Optional[dict]:
-    try:
-        inv = closed_form(spec)
-    except UnsupportedRankError:
+    inv = _safe_closed_form(spec)
+    if inv is None:
         return None
     return {
         "g": inv.g,
@@ -394,19 +386,14 @@ def render_table(spec: GraphSpec, table: KTheoryTable, inv: Optional[FamilyInvar
     lines.append(header)
     lines.append("KO_n " + " ".join(f"{s:>{width}}" for s in ko))
     lines.append("KU_n " + " ".join(f"{s:>{width}}" for s in ku))
-    interesting = [
-        n
-        for n in table.resolution_notes
-        if isinstance(n, ConvergenceCertificate)
-        and n.kind in (CertificateKind.REAL_SHADOW_C, CertificateKind.UNKNOWN)
-    ]
-    for cert in interesting:
-        lines.append(
-            f"certificate: d_{cert.page} {cert.part.value} at (p={cert.p}, q={cert.q}): "
-            f"{cert.kind.value}"
-        )
-    for n in table.resolution_notes:
-        if isinstance(n, ExtensionRecord) and not n.outcome.resolved:
+    for cert in table.certificates:
+        if cert.kind in (CertificateKind.REAL_SHADOW_C, CertificateKind.UNKNOWN):
+            lines.append(
+                f"certificate: d_{cert.page} {cert.part.value} at (p={cert.p}, q={cert.q}): "
+                f"{cert.kind.value}"
+            )
+    for n in table.extensions:
+        if not n.outcome.resolved:
             lines.append(
                 f"unresolved extension: {n.part.value} degree {n.degree}: "
                 f"{n.outcome.sub} by {n.outcome.quotient}"
@@ -449,10 +436,10 @@ def _structured_instance(
 
 def _run_compute(job: JobSpec) -> RunResult:
     specs = parse_instances(job.document)
+    _check_instances(specs, job.max_rank, verify=False)
     out = []
     saw_unknown = False
-    for i, spec in enumerate(specs):
-        _check_rank(spec, job.max_rank, f"instances[{i}]")
+    for spec in specs:
         # Only compute takes the GCD route: verify and sweep compare against
         # closed forms built from the same gcds, so they stay on SNF.
         result = compute_ktheory(spec, route=E2Route.GCD)
@@ -525,12 +512,7 @@ def _pool_size(jobs: int, instances: int) -> int:
 
 
 def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
-    for i, spec in enumerate(specs):
-        _check_rank(spec, job.max_rank, f"instances[{i}]")
-        if spec.rank not in (3, 4):
-            raise InputError(
-                f"instances[{i}]: verification needs a closed form; rank {spec.rank} has none"
-            )
+    _check_instances(specs, job.max_rank, verify=True)
     worker = partial(_verify_one, job.output_format)
     workers = _pool_size(job.jobs, len(specs))
     if workers > 1:
@@ -557,11 +539,15 @@ def _run_lemmas(job: JobSpec) -> RunResult:
 
     doc = job.document if isinstance(job.document, dict) else {}
     plans = []
+    total = 0
     for field, arity in (("pairs", 2), ("triples", 3), ("quadruples", 4)):
         if field in doc:
             rng = _size_range(doc[field], field)
             if rng.start < 2:
                 raise InputError(f"{field}: lemma entries must be >= 2")
+            total += (rng.stop - rng.start) ** arity
+            if total > SWEEP_GUARD:
+                raise InputError(f"{field}: lemma checks exceed the {SWEEP_GUARD} tuple guard")
             plans.append((field, arity, rng))
     if not plans:
         raise InputError('lemmas document: expected at least one of "pairs", "triples", "quadruples"')
@@ -605,9 +591,7 @@ def run(job: JobSpec) -> RunResult:
         if job.command is Command.SWEEP:
             return _run_verify(job, expand_sweep(job.document))
         return _run_lemmas(job)
-    except InputError as exc:
-        return RunResult(EXIT_INPUT, f"input error: {exc}\n")
-    except InvalidGraphError as exc:
+    except (InputError, InvalidGraphError) as exc:
         return RunResult(EXIT_INPUT, f"input error: {exc}\n")
 
 
@@ -652,18 +636,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.input:
-        try:
+    try:
+        if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            print(f"input error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        raw = sys.stdin.read()
-    try:
+        else:
+            raw = sys.stdin.read()
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        print(f"input error: cannot read {args.input or 'stdin'}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # invalid UTF-8 or JSON, or an integer past the interpreter's digit limit
         print(f"input error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     job = JobSpec(

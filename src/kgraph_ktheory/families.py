@@ -88,7 +88,7 @@ def expected_table(spec: GraphSpec) -> KTheoryTable:
             k_copies = ko_multiplicities[(n + 2) % 4]
             ko.append(direct_sum(_power(inv.h, h_copies), _power(inv.k, k_copies)))
         ku_entry = _power(inv.g, 2 ** (rank - 2))
-    return KTheoryTable(ko=tuple(ko), ku=(ku_entry,) * 8, resolution_notes=())
+    return KTheoryTable(ko=tuple(ko), ku=(ku_entry,) * 8)
 
 
 @dataclass(frozen=True)

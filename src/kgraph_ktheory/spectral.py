@@ -315,19 +315,26 @@ class ExtensionRecord:
 
 @dataclass(frozen=True)
 class KTheoryTable:
-    """KO_0..KO_7 and KU_0..KU_7 with the certificates that produced them.
+    """KO_0..KO_7 and KU_0..KU_7 with the provenance that produced them.
 
     An entry is None when its extension problem stayed unresolved.  KU has
-    period 2 and KO period 8 by construction.
+    period 2 and KO period 8 by construction.  ``extensions`` holds the
+    records of KO_0..KO_7, then of the kept KU diagonal of each parity.
     """
 
     ko: tuple[Optional[FinAbGroup], ...]
     ku: tuple[Optional[FinAbGroup], ...]
-    resolution_notes: tuple[object, ...] = ()
+    certificates: tuple[ConvergenceCertificate, ...] = ()
+    extensions: tuple[ExtensionRecord, ...] = ()
 
     def __post_init__(self) -> None:
         if len(self.ko) != 8 or len(self.ku) != 8:
             raise ValueError("tables carry eight KO and eight KU groups")
+
+    @property
+    def resolution_notes(self) -> tuple[ConvergenceCertificate | ExtensionRecord, ...]:
+        """The certificates followed by the extension records."""
+        return self.certificates + self.extensions
 
     @property
     def fully_resolved(self) -> bool:
@@ -416,12 +423,11 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
         )
     if spec.rank != conv.real.k:
         raise ValueError("convergence data does not belong to this spec")
-    notes: list[object] = list(conv.certificates)
-
+    extensions: list[ExtensionRecord] = []
     ko: list[Optional[FinAbGroup]] = []
     for n in range(8):
         group, records = _compose(_diagonal(conv.real, n), Part.REAL, n)
-        notes.extend(records)
+        extensions.extend(records)
         ko.append(group)
 
     ku_by_parity: list[Optional[FinAbGroup]] = []
@@ -438,11 +444,11 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
                 + ", ".join(str(group) for group, _ in resolved)
             )
         group, records = resolved[0] if resolved else (None, shifts[0][1])
-        notes.extend(records)
+        extensions.extend(records)
         ku_by_parity.append(group)
     ku = tuple(ku_by_parity[n % 2] for n in range(8))
 
-    return KTheoryTable(ko=tuple(ko), ku=ku, resolution_notes=tuple(notes))
+    return KTheoryTable(tuple(ko), ku, conv.certificates, tuple(extensions))
 
 
 @dataclass(frozen=True)

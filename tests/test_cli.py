@@ -353,3 +353,103 @@ def test_malformed_table_documents_name_the_field():
     with pytest.raises(InputError, match="^document: expected an object"):
         table_from_doc([])
     assert table_from_doc(broken(lambda d: None)) == table_from_doc(good)
+
+
+def test_table_document_without_provenance_parses_to_empty_tuples():
+    doc = table_to_doc(compute_ktheory(spec_of([("T", 2), ("D", 5), ("D", 8)])).table)
+    del doc["certificates"], doc["extensions"]
+    table = table_from_doc(doc)
+    assert table.certificates == () and table.extensions == ()
+
+
+def test_parse_error_texts_are_pinned():
+    cases = [
+        (_doc([("X", 2)]), """spec.colors[0].kind: expected "D" or "T", got 'X'"""),
+        (_doc([("T", 2), ("D", 0)]), "spec.colors[1].size: expected a positive integer, got 0"),
+        (
+            {"instances": [_doc([("T", 2)], "both")]},
+            """instances[0].involution: expected "trivial" or "swap", got 'both'""",
+        ),
+        ({"instances": []}, "instances: expected a non-empty list"),
+        ({"colors": [3]}, "spec.colors[0]: expected an object with kind and size"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(InputError) as info:
+            parse_instances(doc)
+        assert str(info.value) == message
+
+
+def test_sweep_errors_name_the_value_or_field():
+    def sweep(colors, involution="both"):
+        return {"colors": colors, "involution": involution}
+
+    cases = [
+        (sweep([{"kind": "X", "size": 2}]), """colors[0].kind: expected "D" or "T", got 'X'"""),
+        (sweep(["T"]), "colors[0]: expected an object with kind and size"),
+        (sweep([{"kind": "T", "size": 0}]), "colors[0].size: sizes must be positive, got 0"),
+        (
+            sweep([{"kind": "T", "size": 2}], "all"),
+            """involution: expected "trivial", "swap" or "both", got 'all'""",
+        ),
+    ]
+    for doc, message in cases:
+        with pytest.raises(InputError) as info:
+            expand_sweep(doc)
+        assert str(info.value) == message
+
+
+def test_pool_path_rejects_an_invalid_instance_like_the_serial_path(monkeypatch):
+    # InvalidGraphError cannot be unpickled from a pool worker, so every
+    # instance is checked before any work is handed out.
+    import kgraph_ktheory.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+    doc = {
+        "colors": [
+            {"kind": "T", "size": [1, 3]},
+            {"kind": "D", "size": 5},
+            {"kind": "D", "size": 8},
+        ],
+        "involution": "trivial",
+    }
+    serial = run(_job("sweep", doc))
+    parallel = run(_job("sweep", doc, jobs=2))
+    assert serial.exit_code == EXIT_INPUT
+    assert serial.output == (
+        "input error: invalid graph spec: sizes_at_least_two: colors [0] have size < 2\n"
+    )
+    assert (parallel.exit_code, parallel.output) == (serial.exit_code, serial.output)
+
+
+def test_huge_ranges_are_refused_before_any_work():
+    # Each case would overflow len(range) or build ~10**28 tuples if it ran.
+    huge = 10**29
+    sweep = run(_job("sweep", {"colors": [{"kind": "T", "size": [2, huge]}]}))
+    assert sweep.exit_code == EXIT_INPUT
+    assert sweep.output.startswith("input error: colors[0].size: sweep grid exceeds")
+    for doc, field in [
+        ({"pairs": [2, huge]}, "pairs"),
+        ({"quadruples": [2, 10**7]}, "quadruples"),
+        ({"pairs": [2, 801], "triples": [2, 101]}, "triples"),
+    ]:
+        result = run(_job("lemmas", doc))
+        assert result.exit_code == EXIT_INPUT
+        assert result.output.startswith(f"input error: {field}: lemma checks exceed the")
+
+
+def test_undecodable_and_oversized_input_exit_1(tmp_path, capsys):
+    from kgraph_ktheory.cli import main
+
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"colors": "\xff\xfe"}')
+    paths = [binary]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # interpreters since 3.11 refuse integer literals past this many digits
+        digits = tmp_path / "digits.json"
+        digits.write_text('{"colors": [{"kind": "T", "size": 1%s}]}' % ("0" * limit))
+        paths.append(digits)
+    for path in paths:
+        assert main(["compute", "--input", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")

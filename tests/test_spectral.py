@@ -292,3 +292,13 @@ def test_assemble_rejects_disagreeing_bott_shifts():
     )
     with pytest.raises(BottShiftDisagreementError, match="KU_0: .*Z_3, Z_5"):
         assemble(conv, spec_of([("T", 2)]))
+
+
+def test_table_provenance_is_typed():
+    table = compute_ktheory(spec_of([("T", 2)] * 5, "swap")).table
+    assert not table.fully_resolved
+    assert table.certificates and table.extensions
+    assert all(isinstance(c, ConvergenceCertificate) for c in table.certificates)
+    assert all(isinstance(e, ExtensionRecord) for e in table.extensions)
+    assert any(not e.outcome.resolved for e in table.extensions)
+    assert table.resolution_notes == table.certificates + table.extensions
