@@ -38,6 +38,7 @@ from .kgraph import (
     InvalidGraphError,
     Involution,
     UnsupportedRankError,
+    enumerate_family_case,
     validate,
 )
 from .spectral import (
@@ -196,16 +197,17 @@ def _instance_sort_key(spec: GraphSpec) -> tuple:
     )
 
 
-def _check_instances(specs: list[GraphSpec], max_rank: int, verify: bool) -> None:
+def _check_instances(specs: list[GraphSpec], max_rank: int, needs_closed_form: bool) -> None:
     """Reject a bad instance before any work starts: pool workers must never see one."""
     cap = min(max_rank, HARD_MAX_RANK)
     for i, spec in enumerate(specs):
+        if needs_closed_form:
+            try:
+                enumerate_family_case(spec)
+            except UnsupportedRankError as exc:
+                raise InputError(f"instances[{i}]: {exc}") from exc
         if spec.rank > cap:
             raise InputError(f"instances[{i}]: rank {spec.rank} exceeds the maximum {cap}")
-        if verify and spec.rank not in (3, 4):
-            raise InputError(
-                f"instances[{i}]: verification needs a closed form; rank {spec.rank} has none"
-            )
         report = validate(spec)
         if not report.ok:
             raise InvalidGraphError(report)
@@ -436,7 +438,7 @@ def _structured_instance(
 
 def _run_compute(job: JobSpec) -> RunResult:
     specs = parse_instances(job.document)
-    _check_instances(specs, job.max_rank, verify=False)
+    _check_instances(specs, job.max_rank, needs_closed_form=False)
     out = []
     saw_unknown = False
     for spec in specs:
@@ -464,12 +466,10 @@ def _safe_closed_form(spec: GraphSpec) -> Optional[FamilyInvariants]:
 
 def _run_expected(job: JobSpec) -> RunResult:
     specs = parse_instances(job.document)
+    _check_instances(specs, job.max_rank, needs_closed_form=True)
     out = []
-    for i, spec in enumerate(specs):
-        try:
-            table = expected_table(spec)
-        except UnsupportedRankError as exc:
-            raise InputError(f"instances[{i}]: {exc}") from exc
+    for spec in specs:
+        table = expected_table(spec)
         if job.output_format is OutputFormat.STRUCTURED:
             doc = _structured_instance(spec, None, None)
             doc.update(table_to_doc(table))
@@ -512,7 +512,7 @@ def _pool_size(jobs: int, instances: int) -> int:
 
 
 def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
-    _check_instances(specs, job.max_rank, verify=True)
+    _check_instances(specs, job.max_rank, needs_closed_form=True)
     worker = partial(_verify_one, job.output_format)
     workers = _pool_size(job.jobs, len(specs))
     if workers > 1:
@@ -646,8 +646,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"input error: cannot read {args.input or 'stdin'}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        # invalid UTF-8 or JSON, or an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8 or JSON, an integer past the interpreter's digit limit,
+        # or nesting deeper than the decoder's recursion limit
         print(f"input error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     job = JobSpec(

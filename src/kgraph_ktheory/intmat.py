@@ -98,11 +98,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not any(self.entries)
 
-    def __str__(self) -> str:
-        if self.rows == 0 or self.cols == 0:
-            return f"<empty {self.rows}x{self.cols}>"
-        return "\n".join(" ".join(f"{x:4d}" for x in self.row(i)) for i in range(self.rows))
-
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
@@ -227,8 +222,9 @@ class SNFDecomposition:
     When transforms were requested, ``left`` and ``right`` are unimodular
     with ``left @ A @ right = diagonal(d)``, and ``right_inv`` is the exact
     inverse of ``right``, tracked during elimination.  Homology needs only
-    ``d`` and ``rank``; the transforms serve callers that want the bases,
-    at the price of coefficient growth in their entries.
+    ``d``: ``rank`` for the integer and scalar rows, the count of odd factors
+    for the mod-2 row.  The transforms serve callers that want the bases, at
+    the price of coefficient growth in their entries.
     """
 
     d: tuple[int, ...]
@@ -244,46 +240,41 @@ def snf(matrix: IntMatrix, want_transforms: bool = False) -> SNFDecomposition:
     The pivot of least nonzero absolute value in the trailing block is chosen
     at every step, which keeps coefficient growth tame on the matrices this
     package produces.  Total on all integer matrices.
+
+    Transforms ride along in the augmented matrix [[A, I_m], [I_n, 0]]: row
+    operations on its first m rows turn I_m into ``left``, column operations
+    on its first n columns turn I_n into ``right``.  Pivot search and the
+    divisibility sweep look at A alone, so ``d`` does not depend on
+    ``want_transforms``.
     """
     m, n = matrix.rows, matrix.cols
     a = matrix.to_rows()
-    track = want_transforms
-    left = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
-    right = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
-    right_inv = [[int(i == j) for j in range(n)] for i in range(n)] if track else None
-
-    def swap_rows(i1: int, i2: int) -> None:
-        a[i1], a[i2] = a[i2], a[i1]
-        if track:
-            left[i1], left[i2] = left[i2], left[i1]
+    right_inv = None
+    if want_transforms:
+        a = [row + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+        a += [[int(i == j) for j in range(n + m)] for i in range(n)]
+        right_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    width = len(a[0]) if a else 0
 
     def swap_cols(j1: int, j2: int) -> None:
         for row in a:
             row[j1], row[j2] = row[j2], row[j1]
-        if track:
-            for row in right:
-                row[j1], row[j2] = row[j2], row[j1]
+        if right_inv is not None:
             right_inv[j1], right_inv[j2] = right_inv[j2], right_inv[j1]
 
     def row_sub(i: int, src: int, q: int) -> None:
         # row_i -= q * row_src
         if q:
             ai, asrc = a[i], a[src]
-            for j in range(n):
+            for j in range(width):
                 ai[j] -= q * asrc[j]
-            if track:
-                li, lsrc = left[i], left[src]
-                for j in range(m):
-                    li[j] -= q * lsrc[j]
 
     def col_sub(j: int, src: int, q: int) -> None:
         # col_j -= q * col_src; the inverse op on right_inv is row_src += q * row_j
         if q:
             for row in a:
                 row[j] -= q * row[src]
-            if track:
-                for row in right:
-                    row[j] -= q * row[src]
+            if right_inv is not None:
                 rs, rj = right_inv[src], right_inv[j]
                 for t in range(n):
                     rs[t] += q * rj[t]
@@ -309,7 +300,7 @@ def snf(matrix: IntMatrix, want_transforms: bool = False) -> SNFDecomposition:
             if pi < 0:
                 break  # trailing block is all zero
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 swap_cols(t, pj)
             p = a[t][t]
@@ -344,15 +335,15 @@ def snf(matrix: IntMatrix, want_transforms: bool = False) -> SNFDecomposition:
     for i in range(size):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            if track:
-                left[i] = [-x for x in left[i]]
 
     d = tuple(a[i][i] for i in range(size))
     rank = sum(1 for x in d if x)
+    if not want_transforms:
+        return SNFDecomposition(d=d, rank=rank)
     return SNFDecomposition(
         d=d,
         rank=rank,
-        left=IntMatrix.from_rows(left) if track else None,
-        right=IntMatrix.from_rows(right) if track else None,
-        right_inv=IntMatrix.from_rows(right_inv) if track else None,
+        left=IntMatrix.from_rows([row[n:] for row in a[:m]]),
+        right=IntMatrix.from_rows([row[:n] for row in a[m:]]),
+        right_inv=IntMatrix.from_rows(right_inv),
     )

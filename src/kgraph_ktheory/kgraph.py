@@ -123,6 +123,10 @@ class InvalidGraphError(ValueError):
         msgs = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
         super().__init__(f"invalid graph spec: {msgs}")
 
+    def __reduce__(self):
+        # args holds the message; rebuild from the report so pool workers can raise it
+        return type(self), (self.report,)
+
 
 class CoefficientRow(Enum):
     """Which coefficient row of the spectral sequence a chain complex computes."""

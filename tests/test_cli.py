@@ -453,3 +453,34 @@ def test_undecodable_and_oversized_input_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
+
+
+def test_expected_rejects_what_compute_rejects():
+    doc = _doc([("T", 1), ("D", 5), ("D", 8)])
+    message = "input error: invalid graph spec: sizes_at_least_two: colors [0] have size < 2\n"
+    for command in ("compute", "expected"):
+        result = run(_job(command, doc))
+        assert (result.exit_code, result.output) == (EXIT_INPUT, message), command
+
+
+def test_closed_form_commands_share_one_rank_rule():
+    message = "input error: instances[0]: no closed form for rank 2; supported ranks are 3 and 4\n"
+    for command in ("expected", "verify", "sweep"):
+        result = run(_job(command, _doc([("T", 2), ("T", 2)])))
+        assert (result.exit_code, result.output) == (EXIT_INPUT, message), command
+    capped = run(_job("expected", _doc([("T", 2)] * 4), max_rank=3))
+    assert (capped.exit_code, capped.output) == (
+        EXIT_INPUT,
+        "input error: instances[0]: rank 4 exceeds the maximum 3\n",
+    )
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    from kgraph_ktheory.cli import main
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["compute", "--input", str(deep)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")

@@ -235,3 +235,23 @@ def test_koszul_rows_at_large_sizes_match_the_gcd_prediction():
             for row, group in predicted.items():
                 expected = tuple(group(comb(rank - 1, p)) for p in range(rank + 1))
                 assert homology_all(koszul_complex(mats, row)) == expected, (colors, row)
+
+
+def test_mod2_row_obeys_universal_coefficients():
+    # H_p(C; Z_2) = H_p (x) Z_2 + Tor(H_{p-1}, Z_2): its dimension is the free
+    # rank of H_p plus the even torsion factors of H_p and of H_{p-1}
+    rng = random.Random(212)
+    for _ in range(400):
+        n0, n1 = rng.randint(0, 6), rng.randint(0, 6)
+        d = IntMatrix(n0, n1, tuple(rng.randint(-4, 4) for _ in range(n0 * n1)))
+        integral = homology_all(ChainComplex((n0, n1), (d,), CoefficientRow.INTEGER))
+        mod2 = homology_all(ChainComplex((n0, n1), (d.mod(2),), CoefficientRow.MOD2))
+
+        def evens(group):
+            return sum(1 for t in group.torsion if t % 2 == 0)
+
+        for p, group in enumerate(mod2):
+            assert group.free_rank == 0 and set(group.torsion) <= {2}
+            below = evens(integral[p - 1]) if p else 0
+            expected = integral[p].free_rank + evens(integral[p]) + below
+            assert len(group.torsion) == expected, (d.to_rows(), p)

@@ -189,3 +189,28 @@ def test_snf_empty_matrices():
         assert dec.rank == 0
         assert dec.left.rows == shape[0]
         assert dec.right.rows == shape[1]
+
+
+def test_snf_transforms_on_every_small_shape_and_huge_entries():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def matrices(draw):
+        m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        entries = draw(st.lists(st.integers(-(10**30), 10**30), min_size=m * n, max_size=m * n))
+        return IntMatrix(m, n, tuple(entries))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(matrices())
+    def check(a):
+        dec = snf(a, want_transforms=True)
+        assert dec.d == snf(a).d
+        assert mat_mul(mat_mul(dec.left, a), dec.right) == IntMatrix.diagonal(
+            a.rows, a.cols, dec.d
+        )
+        assert abs(det(dec.left)) == 1
+        assert abs(det(dec.right)) == 1
+        assert mat_mul(dec.right_inv, dec.right) == IntMatrix.identity(a.cols)
+
+    check()

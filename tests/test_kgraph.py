@@ -222,3 +222,15 @@ def test_koszul_multiplies_only_non_scalar_pairs(monkeypatch):
     b = IntMatrix.from_rows([[1, 0], [1, 1]])
     with pytest.raises(NonCommutingError, match="matrices 1 and 2"):
         koszul_complex((scalar, a, b), CoefficientRow.INTEGER)
+
+
+def test_invalid_graph_error_survives_pickling():
+    import pickle
+
+    from kgraph_ktheory.kgraph import InvalidGraphError
+
+    err = InvalidGraphError(validate(spec_of([("T", 1), ("D", 5), ("D", 8)])))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is InvalidGraphError
+    assert str(back) == str(err)
+    assert back.report == err.report
