@@ -50,6 +50,8 @@ from .spectral import (
     Part,
     PipelineResult,
     compute_ktheory,
+    encode_members,
+    table_to_doc,
 )
 
 EXIT_OK = 0
@@ -217,12 +219,6 @@ def _check_instances(specs: list[GraphSpec], max_rank: int, needs_closed_form: b
 # serialization
 
 
-def group_to_doc(group: Optional[FinAbGroup]) -> Optional[dict]:
-    if group is None:
-        return None
-    return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
-
-
 def _field(doc: Any, key: str, where: str, kind: type = object) -> Any:
     """``doc[key]`` of type ``kind``; otherwise InputError naming the field."""
     name = f"{where}.{key}" if where else key
@@ -267,16 +263,6 @@ def spec_to_doc(spec: GraphSpec) -> dict:
     }
 
 
-def _certificate_to_doc(cert: ConvergenceCertificate) -> dict:
-    return {
-        "kind": cert.kind.value,
-        "r": cert.page,
-        "p": cert.p,
-        "q": cert.q,
-        "part": cert.part.value,
-    }
-
-
 def _certificate_from_doc(doc: Any, where: str) -> ConvergenceCertificate:
     return ConvergenceCertificate(
         _enum_field(CertificateKind, doc, "kind", where),
@@ -285,21 +271,6 @@ def _certificate_from_doc(doc: Any, where: str) -> ConvergenceCertificate:
         _field(doc, "q", where, int),
         _enum_field(Part, doc, "part", where),
     )
-
-
-def _extension_to_doc(rec: ExtensionRecord) -> dict:
-    out = rec.outcome
-    return {
-        "part": rec.part.value,
-        "degree": rec.degree,
-        "sub_position": list(rec.sub_position),
-        "quotient_position": list(rec.quotient_position),
-        "certificate": out.certificate.value,
-        "resolved": out.resolved,
-        "sub": group_to_doc(out.sub),
-        "quotient": group_to_doc(out.quotient),
-        "group": group_to_doc(out.group),
-    }
 
 
 def _extension_from_doc(doc: Any, where: str) -> ExtensionRecord:
@@ -319,16 +290,6 @@ def _extension_from_doc(doc: Any, where: str) -> ExtensionRecord:
         quotient_position=tuple(_int_list(doc, "quotient_position", where)),
         outcome=outcome,
     )
-
-
-def table_to_doc(table: KTheoryTable) -> dict:
-    return {
-        "ko": [group_to_doc(g) for g in table.ko],
-        "ku": [group_to_doc(g) for g in table.ku],
-        "certificates": [_certificate_to_doc(c) for c in table.certificates],
-        "extensions": [_extension_to_doc(e) for e in table.extensions],
-        "resolved": table.fully_resolved,
-    }
 
 
 def table_from_doc(doc: Any) -> KTheoryTable:
@@ -415,25 +376,11 @@ def _unknown_message(result: PipelineResult) -> str:
 # command handlers
 
 
-def _structured_instance(
-    spec: GraphSpec,
-    result: Optional[PipelineResult],
-    expected: Optional[KTheoryTable],
-    verdict: Optional[str] = None,
-) -> dict:
-    doc: dict[str, Any] = {"spec": spec_to_doc(spec), "invariants": _invariants_doc(spec)}
-    if result is not None:
-        doc["status"] = result.status
-        if result.table is not None:
-            doc.update(table_to_doc(result.table))
-        else:
-            doc["unknown"] = [_certificate_to_doc(c) for c in result.convergence.unknown]
-            doc["resolved"] = False
-    if expected is not None:
-        doc["expected"] = table_to_doc(expected)
-    if verdict is not None:
-        doc["verdict"] = verdict
-    return doc
+def _document(members: Sequence[tuple[str, str]] = (), **values: Any) -> str:
+    """``json.dumps(doc, sort_keys=True)`` of the document made of ``members``,
+    whose values are already encoded, and ``values``, encoded here."""
+    encoded = sorted((*members, *encode_members(values)))
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in encoded) + "}"
 
 
 def _run_compute(job: JobSpec) -> RunResult:
@@ -447,14 +394,22 @@ def _run_compute(job: JobSpec) -> RunResult:
         result = compute_ktheory(spec, route=E2Route.GCD)
         saw_unknown = saw_unknown or not result.convergence.converged
         if job.output_format is OutputFormat.STRUCTURED:
-            out.append(json.dumps(_structured_instance(spec, result, None), sort_keys=True))
+            out.append(
+                _document(
+                    result.members,
+                    spec=spec_to_doc(spec),
+                    invariants=_invariants_doc(spec),
+                    status=result.status,
+                )
+            )
         else:
             if result.table is None:
                 out.append(f"spec: {_spec_str(spec)}\nstatus: {_unknown_message(result)}")
             else:
                 out.append(render_table(spec, result.table, _safe_closed_form(spec)))
     code = EXIT_UNKNOWN if (saw_unknown and job.strict) else EXIT_OK
-    return RunResult(code, "\n\n".join(out) + "\n")
+    out[-1] += "\n"
+    return RunResult(code, "\n\n".join(out))
 
 
 def _safe_closed_form(spec: GraphSpec) -> Optional[FamilyInvariants]:
@@ -471,12 +426,15 @@ def _run_expected(job: JobSpec) -> RunResult:
     for spec in specs:
         table = expected_table(spec)
         if job.output_format is OutputFormat.STRUCTURED:
-            doc = _structured_instance(spec, None, None)
-            doc.update(table_to_doc(table))
-            out.append(json.dumps(doc, sort_keys=True))
+            out.append(
+                _document(
+                    spec=spec_to_doc(spec), invariants=_invariants_doc(spec), **table_to_doc(table)
+                )
+            )
         else:
             out.append(render_table(spec, table, _safe_closed_form(spec)))
-    return RunResult(EXIT_OK, "\n\n".join(out) + "\n")
+    out[-1] += "\n"
+    return RunResult(EXIT_OK, "\n\n".join(out))
 
 
 def _verify_one(output_format: OutputFormat, spec: GraphSpec) -> tuple[str, str]:
@@ -495,8 +453,14 @@ def _verify_one(output_format: OutputFormat, spec: GraphSpec) -> tuple[str, str]
     else:
         verdict = "mismatch"
     if output_format is OutputFormat.STRUCTURED:
-        doc = _structured_instance(spec, result, expected, verdict)
-        return verdict, json.dumps(doc, sort_keys=True)
+        return verdict, _document(
+            result.members,
+            spec=spec_to_doc(spec),
+            invariants=_invariants_doc(spec),
+            status=result.status,
+            expected=table_to_doc(expected),
+            verdict=verdict,
+        )
     return verdict, _render_verdict_line(spec, verdict)
 
 
@@ -531,7 +495,8 @@ def _run_verify(job: JobSpec, specs: list[GraphSpec]) -> RunResult:
         else:
             lines.append(f"{mismatches} of {len(specs)} instances FAILED")
     code = EXIT_OK if mismatches == 0 else EXIT_MISMATCH
-    return RunResult(code, "\n".join(lines) + "\n")
+    lines[-1] += "\n"
+    return RunResult(code, "\n".join(lines))
 
 
 def _run_lemmas(job: JobSpec) -> RunResult:

@@ -42,7 +42,8 @@ scalar difference row, and 0 on the mod-2 row.  Proof:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb, gcd
@@ -62,7 +63,6 @@ from .kgraph import (
     InvalidGraphError,
     Involution,
     adjacency_matrices,
-    coefficient_block,
     involution_row_schedule,
     koszul_complex,
     validate,
@@ -119,22 +119,26 @@ def _row_homology(
     return homology_all(koszul_complex(mats, row))
 
 
+@lru_cache(maxsize=1024)
+def _gcd_row_group(moduli: tuple[int, ...], copies: int) -> FinAbGroup:
+    return FinAbGroup.from_parts(0, moduli * copies)
+
+
 def _gcd_row_homology(
     mats: tuple[IntMatrix, ...], row: CoefficientRow
 ) -> tuple[FinAbGroup, ...]:
     rank = len(mats)
     if row is CoefficientRow.MOD2:
         return (ZERO_GROUP,) * (rank + 1)
-    h = gcd(*(coefficient_block(m, CoefficientRow.SCALAR_SUM).at(0, 0) for m in mats))
-    k = gcd(*(coefficient_block(m, CoefficientRow.SCALAR_DIFF).at(0, 0) for m in mats))
+    # a_i and b_i read off the first row (a_00, a_01) of each adjacency matrix
+    h = gcd(*(1 - m.entries[0] - m.entries[1] for m in mats))
+    k = gcd(*(1 - m.entries[0] + m.entries[1] for m in mats))
     moduli = {
         CoefficientRow.INTEGER: (h, k),
         CoefficientRow.SCALAR_SUM: (h,),
         CoefficientRow.SCALAR_DIFF: (k,),
     }[row]
-    return tuple(
-        FinAbGroup.from_parts(0, moduli * comb(rank - 1, p)) for p in range(rank + 1)
-    )
+    return tuple(_gcd_row_group(moduli, comb(rank - 1, p)) for p in range(rank + 1))
 
 
 def _build_page(
@@ -172,7 +176,7 @@ class CertificateKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceCertificate:
     """Why the differential d_page at (p, q) of the given part is zero.
 
@@ -265,11 +269,15 @@ def converge(
     Pages are scanned for r = 2..k.  If some differential has no certificate
     the scan stops after that page and the result cites every uncertified
     location found on it.  The swap involution's shadow page is built by
-    ``route``.
+    ``route``; everything after that reads the three pages alone, and is
+    what ``compute_ktheory`` reuses across specs with equal pages.
     """
     real, cplx = pages
+    return _converge(real, cplx, _shadow_page(spec, real, route))
+
+
+def _converge(real: E2Page, cplx: E2Page, shadow: E2Page) -> ConvergenceResult:
     k = real.k
-    shadow = _shadow_page(spec, real, route)
     shadow_ok_through = _shadow_certified_through(shadow)
     certificates: list[ConvergenceCertificate] = []
     unknown: list[ConvergenceCertificate] = []
@@ -416,13 +424,19 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
     first fully resolved one is kept, with its extension records (the first
     shift's records when none resolves).  Resolved shifts of one parity
     must agree; BottShiftDisagreementError is raised if they do not.
+    ``spec`` is only checked against the pages: the table is a function of
+    ``conv`` alone, which ``compute_ktheory`` reuses across specs.
     """
+    if spec.rank != conv.real.k:
+        raise ValueError("convergence data does not belong to this spec")
+    return _assemble(conv)
+
+
+def _assemble(conv: ConvergenceResult) -> KTheoryTable:
     if not conv.converged:
         raise UnknownConvergenceError(
             f"uncertified differential at {conv.unknown[0]}"
         )
-    if spec.rank != conv.real.k:
-        raise ValueError("convergence data does not belong to this spec")
     extensions: list[ExtensionRecord] = []
     ko: list[Optional[FinAbGroup]] = []
     for n in range(8):
@@ -451,26 +465,110 @@ def assemble(conv: ConvergenceResult, spec: GraphSpec) -> KTheoryTable:
     return KTheoryTable(tuple(ko), ku, conv.certificates, tuple(extensions))
 
 
+# ---------------------------------------------------------------------------
+# document encoding: the JSON shapes the command line writes
+
+
+def _group_to_doc(group: Optional[FinAbGroup]) -> Optional[dict]:
+    if group is None:
+        return None
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
+
+
+def _certificate_to_doc(cert: ConvergenceCertificate) -> dict:
+    return {
+        "kind": cert.kind.value,
+        "r": cert.page,
+        "p": cert.p,
+        "q": cert.q,
+        "part": cert.part.value,
+    }
+
+
+def _extension_to_doc(rec: ExtensionRecord) -> dict:
+    out = rec.outcome
+    return {
+        "part": rec.part.value,
+        "degree": rec.degree,
+        "sub_position": list(rec.sub_position),
+        "quotient_position": list(rec.quotient_position),
+        "certificate": out.certificate.value,
+        "resolved": out.resolved,
+        "sub": _group_to_doc(out.sub),
+        "quotient": _group_to_doc(out.quotient),
+        "group": _group_to_doc(out.group),
+    }
+
+
+def table_to_doc(table: KTheoryTable) -> dict:
+    return {
+        "ko": [_group_to_doc(g) for g in table.ko],
+        "ku": [_group_to_doc(g) for g in table.ku],
+        "certificates": [_certificate_to_doc(c) for c in table.certificates],
+        "extensions": [_extension_to_doc(e) for e in table.extensions],
+        "resolved": table.fully_resolved,
+    }
+
+
+def encode_members(doc: dict) -> tuple[tuple[str, str], ...]:
+    """Each (key, value) of ``doc`` with the value as ``json.dumps(..., sort_keys=True)`` text."""
+    return tuple((key, json.dumps(value, sort_keys=True)) for key, value in doc.items())
+
+
+# ---------------------------------------------------------------------------
+# the whole pipeline
+
+
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything the pipeline produced for one spec."""
+    """Everything the pipeline produced for one spec.
+
+    ``members`` holds the encoded document members of the outcome: the
+    ``table_to_doc`` members when a table was assembled, otherwise
+    ``resolved`` and the ``unknown`` certificates.  It is derived from
+    ``convergence`` and takes no part in equality.
+    """
 
     spec: GraphSpec
     real: E2Page
     cplx: E2Page
     convergence: ConvergenceResult
     table: Optional[KTheoryTable]
+    members: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
 
     @property
     def status(self) -> str:
         return "ok" if self.convergence.converged else "unknown-differential"
 
 
+# Distinct (real, complex, shadow) page triples kept per process.  The bench
+# workloads hold at most 128 distinct triples each (79 over 288 rank-5/6
+# instances, 128 over 2,024 rank-3/4 ones).
+PAGE_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=PAGE_MEMO_SIZE)
+def _certified(
+    real: E2Page, cplx: E2Page, shadow: E2Page
+) -> tuple[ConvergenceResult, Optional[KTheoryTable], tuple[tuple[str, str], ...]]:
+    conv = _converge(real, cplx, shadow)
+    if not conv.converged:
+        unknown = [_certificate_to_doc(c) for c in conv.unknown]
+        return conv, None, encode_members({"resolved": False, "unknown": unknown})
+    table = _assemble(conv)
+    return conv, table, encode_members(table_to_doc(table))
+
+
 def compute_ktheory(spec: GraphSpec, *, route: E2Route = E2Route.SNF) -> PipelineResult:
-    """Full pipeline: E^2 pages, convergence certificates, assembled table."""
-    pages = build_e2(spec, route=route)
-    conv = converge(pages, spec, route=route)
-    table = assemble(conv, spec) if conv.converged else None
-    return PipelineResult(
-        spec=spec, real=pages[0], cplx=pages[1], convergence=conv, table=table
-    )
+    """Full pipeline: E^2 pages, convergence certificates, assembled table.
+
+    The pages (and the shadow page) are built for every spec.  Certification,
+    assembly and the encoding of the outcome's document members depend on
+    those three pages alone, so they run once per distinct page triple and
+    are reused, up to ``PAGE_MEMO_SIZE`` triples, for every later spec with
+    equal pages.  The key is the pages, never h or k: results on the SNF
+    route stay independent of the closed forms they are checked against.
+    """
+    real, cplx = build_e2(spec, route=route)
+    conv, table, members = _certified(real, cplx, _shadow_page(spec, real, route))
+    return PipelineResult(spec, real, cplx, conv, table, members)

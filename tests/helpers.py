@@ -30,6 +30,39 @@ def random_matrix(rng, max_rows: int = 5, max_cols: int = 5, bound: int = 9) -> 
     return IntMatrix(m, n, tuple(rng.randint(-bound, bound) for _ in range(m * n)))
 
 
+def scalar_gcds(spec: GraphSpec) -> tuple[int, int]:
+    """(h, k): the gcds of 1 - 2m, 1 - 2n and of 1 - 2m, 1 + 2n over the colors."""
+    h = k = 0
+    for c in spec.colors:
+        h = gcd(h, 1 - 2 * c.size)
+        k = gcd(k, 1 - 2 * c.size if c.kind is ColorKind.DIAGONAL else 1 + 2 * c.size)
+    return h, k
+
+
+def spec_with_gcds(rng, rank: int, involution: str, h: int, k: int) -> GraphSpec:
+    """A seeded spec of this rank, with a crossing color, whose (h, k) is exactly (h, k)."""
+    for _ in range(10_000):
+        kinds = [rng.choice(list(ColorKind)) for _ in range(rank)]
+        kinds[rng.randrange(rank)] = ColorKind.OFF_DIAGONAL
+        sizes = []
+        for kind in kinds:
+            # sizes in 2..4000 with h | 1 - 2s and k | 1 -+ 2s, if there are any
+            fits = [
+                s
+                for s in range(2, 4001)
+                if (1 - 2 * s) % h == 0
+                and (1 - 2 * s if kind is ColorKind.DIAGONAL else 1 + 2 * s) % k == 0
+            ]
+            if not fits:
+                break
+            sizes.append(rng.choice(fits))
+        else:
+            spec = GraphSpec(tuple(map(ColorSpec, kinds, sizes)), Involution(involution))
+            if scalar_gcds(spec) == (h, k):
+                return spec
+    raise ValueError(f"no rank-{rank} spec found with (h, k) = ({h}, {k})")
+
+
 # ---------------------------------------------------------------------------
 # minor-determinant oracles (independent of the elimination-based snf path)
 

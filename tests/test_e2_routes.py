@@ -15,6 +15,8 @@ from kgraph_ktheory.cli import Command, EXIT_OK, JobSpec, run
 from kgraph_ktheory.kgraph import ColorKind, ColorSpec, GraphSpec, Involution
 from kgraph_ktheory.spectral import E2Route, compute_ktheory
 
+from helpers import scalar_gcds, spec_with_gcds
+
 
 def _grid(rank, sizes):
     """Every D/T pattern with a crossing color, every size, both involutions."""
@@ -49,6 +51,17 @@ def test_routes_agree_on_seeded_rank5_and_rank6_specs():
     for rank in (5, 6):
         for _ in range(12):
             _assert_routes_agree(_random_spec(rng, rank, 20))
+
+
+def test_routes_agree_on_rank5_and_rank6_specs_with_each_gcd_shape():
+    # The seeded specs above all have h = k = 1; here h = 1, k = 1 and h, k > 1.
+    rng = random.Random(5656)
+    for rank in (5, 6):
+        for involution in ("trivial", "swap"):
+            for h, k in ((1, 7), (3, 1), (5, 9), (27, 11)):
+                spec = spec_with_gcds(rng, rank, involution, h, k)
+                assert scalar_gcds(spec) == (h, k)
+                _assert_routes_agree(spec)
 
 
 def test_routes_agree_on_huge_sizes():
