@@ -19,9 +19,12 @@ def _invariant_chain(moduli: Iterable[int]) -> tuple[int, ...]:
     """Rewrite a multiset of cyclic orders as a dividing chain.
 
     Uses the identity Z_a + Z_b = Z_gcd(a,b) + Z_lcm(a,b) pairwise until the
-    list is a chain; no factorization needed.
+    list is a chain; no factorization needed.  A list that already is a
+    chain is returned as it stands.
     """
     vals = [abs(int(m)) for m in moduli if abs(int(m)) != 1]
+    if all(b % a == 0 for a, b in zip(vals, vals[1:])):
+        return tuple(vals)
     changed = True
     while changed:
         changed = False

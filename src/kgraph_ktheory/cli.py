@@ -61,6 +61,7 @@ EXIT_UNKNOWN = 3
 
 HARD_MAX_RANK = 6
 SWEEP_GUARD = 10**6
+SHOWN_CHARS = 100  # longest repr of a bad value that an input error echoes
 INVOLUTIONS = ("trivial", "swap")
 
 
@@ -101,6 +102,14 @@ class RunResult:
 # input parsing
 
 
+def _shown(value: Any) -> str:
+    """repr of an offending value for an error message, cut after SHOWN_CHARS characters."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _is_int(value: Any) -> bool:
     """An int that is not a bool: JSON true and false are not numbers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -116,7 +125,7 @@ def _one_of(value: Any, choices: Sequence[str], name: str) -> str:
     if value not in choices:
         quoted = [f'"{c}"' for c in choices]
         expected = f"{', '.join(quoted[:-1])} or {quoted[-1]}"
-        raise InputError(f"{name}: expected {expected}, got {value!r}")
+        raise InputError(f"{name}: expected {expected}, got {_shown(value)}")
     return value
 
 
@@ -135,7 +144,7 @@ def parse_spec(doc: Any, where: str = "spec") -> GraphSpec:
         kind = _color_kind(c, at)
         size = c.get("size")
         if not _is_int(size) or size < 1:
-            raise InputError(f"{at}.size: expected a positive integer, got {size!r}")
+            raise InputError(f"{at}.size: expected a positive integer, got {_shown(size)}")
         colors.append(ColorSpec(kind, size))
     involution = _one_of(doc.get("involution", "trivial"), INVOLUTIONS, f"{where}.involution")
     return GraphSpec(tuple(colors), Involution(involution))
@@ -158,7 +167,7 @@ def _size_range(value: Any, where: str) -> range:
         if lo < 1 or hi < lo:
             raise InputError(f"{where}: expected 1 <= lo <= hi, got {value}")
         return range(lo, hi + 1)
-    raise InputError(f"{where}: expected an integer or [lo, hi], got {value!r}")
+    raise InputError(f"{where}: expected an integer or [lo, hi], got {_shown(value)}")
 
 
 def expand_sweep(doc: Any) -> list[GraphSpec]:
@@ -223,19 +232,19 @@ def _field(doc: Any, key: str, where: str, kind: type = object) -> Any:
     """``doc[key]`` of type ``kind``; otherwise InputError naming the field."""
     name = f"{where}.{key}" if where else key
     if not isinstance(doc, dict):
-        raise InputError(f"{where or 'document'}: expected an object, got {doc!r}")
+        raise InputError(f"{where or 'document'}: expected an object, got {_shown(doc)}")
     if key not in doc:
         raise InputError(f"{name}: missing")
     value = doc[key]
     if not isinstance(value, kind) or (kind is int and not _is_int(value)):
-        raise InputError(f"{name}: expected {kind.__name__}, got {value!r}")
+        raise InputError(f"{name}: expected {kind.__name__}, got {_shown(value)}")
     return value
 
 
 def _int_list(doc: Any, key: str, where: str) -> list[int]:
     values = _field(doc, key, where, list)
     if not all(_is_int(v) for v in values):
-        raise InputError(f"{where}.{key}: expected a list of integers, got {values!r}")
+        raise InputError(f"{where}.{key}: expected a list of integers, got {_shown(values)}")
     return values
 
 

@@ -37,6 +37,10 @@ def homology_all(cc: ChainComplex) -> tuple[FinAbGroup, ...]:
     """Homology in every degree 0..k.
 
     Raises DefectiveComplexError if some composition d_p . d_{p+1} is nonzero.
+    Each group is built straight from the Smith diagonal of d_{p+1}: ``snf``
+    returns it as a dividing chain, and ``FinAbGroup`` checks that chain on
+    construction, so torsion factors out of dividing order raise instead of
+    being silently re-canonicalized.
     """
     if not cc.composition_is_zero():
         raise DefectiveComplexError("some composition d_p . d_{p+1} is nonzero")
@@ -44,12 +48,12 @@ def homology_all(cc: ChainComplex) -> tuple[FinAbGroup, ...]:
     if cc.coefficient_tag is CoefficientRow.MOD2:
         ranks = [0, *(sum(f & 1 for f in dec.d) for dec in decs), 0]
         return tuple(
-            FinAbGroup.from_parts(0, (2,) * (n - ranks[p] - ranks[p + 1]))
+            FinAbGroup(0, (2,) * (n - ranks[p] - ranks[p + 1]))
             for p, n in enumerate(cc.lengths)
         )
     ranks = [0, *(dec.rank for dec in decs), 0]
-    torsion = [[f for f in dec.d if f > 1] for dec in decs] + [[]]
+    torsion = [tuple(f for f in dec.d if f > 1) for dec in decs] + [()]
     return tuple(
-        FinAbGroup.from_parts(n - ranks[p] - ranks[p + 1], torsion[p])
+        FinAbGroup(n - ranks[p] - ranks[p + 1], torsion[p])
         for p, n in enumerate(cc.lengths)
     )

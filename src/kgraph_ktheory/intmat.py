@@ -33,7 +33,7 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise DimensionError(f"negative shape {self.rows}x{self.cols}")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", tuple(map(int, self.entries)))
         if len(self.entries) != self.rows * self.cols:
             raise DimensionError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .intmat import IntMatrix, block_matrix, mat_mul
+from .intmat import IntMatrix, mat_mul
 
 
 class ColorKind(Enum):
@@ -63,10 +63,7 @@ def adjacency_matrices(spec: GraphSpec) -> tuple[IntMatrix, ...]:
     out = []
     for c in spec.colors:
         s = 2 * c.size
-        if c.kind is ColorKind.DIAGONAL:
-            out.append(IntMatrix.from_rows([[s, 0], [0, s]]))
-        else:
-            out.append(IntMatrix.from_rows([[0, s], [s, 0]]))
+        out.append(IntMatrix(2, 2, (s, 0, 0, s) if c.kind is ColorKind.DIAGONAL else (0, s, s, 0)))
     return tuple(out)
 
 
@@ -181,13 +178,22 @@ class ChainComplex:
         return self.differentials[p - 1]
 
     def composition_is_zero(self) -> bool:
+        """True iff every composition d_p . d_{p+1} vanishes (mod 2 on the mod-2 row).
+
+        Each row of the product is accumulated from the entry rows of the two
+        boundaries, and the scan stops at the first row with a nonzero entry.
+        """
         mod2 = self.coefficient_tag is CoefficientRow.MOD2
         for p in range(1, self.degree):
-            prod = mat_mul(self.differentials[p - 1], self.differentials[p])
-            if mod2:
-                prod = prod.mod(2)
-            if not prod.is_zero:
-                return False
+            a, b = self.differentials[p - 1], self.differentials[p]
+            b_rows = [b.row(t) for t in range(b.rows)]
+            for i in range(a.rows):
+                acc = [0] * b.cols
+                for av, b_row in zip(a.row(i), b_rows):
+                    if av:
+                        acc = [x + av * y for x, y in zip(acc, b_row)]
+                if any(x % 2 for x in acc) if mod2 else any(acc):
+                    return False
         return True
 
 
@@ -200,19 +206,12 @@ def coefficient_block(matrix: IntMatrix, row: CoefficientRow) -> IntMatrix:
     """
     if matrix.rows != matrix.cols:
         raise ValueError("coefficient blocks need square adjacency matrices")
-    if row is CoefficientRow.INTEGER:
-        mt = matrix.transpose()
-        return IntMatrix(
-            matrix.rows,
-            matrix.cols,
-            tuple(
-                int(i == j) - mt.at(i, j)
-                for i in range(matrix.rows)
-                for j in range(matrix.cols)
-            ),
+    if row is CoefficientRow.INTEGER or row is CoefficientRow.MOD2:
+        n, e = matrix.rows, matrix.entries
+        block = IntMatrix(
+            n, n, tuple(int(i == j) - e[j * n + i] for i in range(n) for j in range(n))
         )
-    if row is CoefficientRow.MOD2:
-        return coefficient_block(matrix, CoefficientRow.INTEGER).mod(2)
+        return block.mod(2) if row is CoefficientRow.MOD2 else block
     if matrix.rows != 2 or matrix.cols != 2:
         raise ValueError("scalar rows are defined for 2x2 adjacency matrices only")
     if row is CoefficientRow.SCALAR_SUM:
@@ -231,6 +230,12 @@ def koszul_complex(
     ordered lexicographically; the boundary takes the basis element for S to
     the alternating sum over colors s_j in S (j-th smallest, sign (-1)^(j-1))
     of B_{s_j} applied in the basis slot S - {s_j}.
+
+    Each boundary is written entry by entry into one flat row-major list,
+    block rows straight from the subset index, and becomes one IntMatrix.
+    Only pairs of non-scalar matrices are checked to commute
+    (NonCommutingError otherwise); that the boundaries compose to zero is
+    checked by ``homology_all``.
     """
     mats = tuple(matrices)
     if not mats:
@@ -241,7 +246,8 @@ def koszul_complex(
             raise ValueError("all matrices must be square of equal size")
     # A scalar matrix commutes with every matrix of its size, so only pairs
     # of non-scalar matrices need the two products.
-    scalar = [m == IntMatrix.identity(v0).scaled(m.entries[0] if v0 else 0) for m in mats]
+    identity = [int(i == j) for i in range(v0) for j in range(v0)]
+    scalar = [all(e == m.entries[0] * d for e, d in zip(m.entries, identity)) for m in mats]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             if scalar[i] or scalar[j]:
@@ -253,20 +259,25 @@ def koszul_complex(
     v = blocks[0].rows
     k = len(mats)
     lengths = tuple(v * comb(k, p) for p in range(k + 1))
-    zero_block = IntMatrix.zeros(v, v)
+    # signed_rows[j % 2][color]: the rows of (-1)^j B_color
+    plus = [[b.row(i) for i in range(v)] for b in blocks]
+    signed_rows = (plus, [[tuple(-x for x in r) for r in rows] for rows in plus])
 
     diffs = []
+    row_subsets = [()]
     for p in range(1, k + 1):
         col_subsets = list(combinations(range(k), p))
-        row_subsets = list(combinations(range(k), p - 1))
         row_index = {s: i for i, s in enumerate(row_subsets)}
-        grid = [[zero_block] * len(col_subsets) for _ in row_subsets]
+        width = v * len(col_subsets)
+        out = [0] * (v * len(row_subsets) * width)
         for cj, subset in enumerate(col_subsets):
             for j, color in enumerate(subset):
-                rest = subset[:j] + subset[j + 1 :]
-                blk = blocks[color] if j % 2 == 0 else -blocks[color]
-                grid[row_index[rest]][cj] = blk
-        diffs.append(block_matrix(grid))
+                start = row_index[subset[:j] + subset[j + 1 :]] * v * width + cj * v
+                for r in signed_rows[j % 2][color]:
+                    out[start : start + v] = r
+                    start += width
+        diffs.append(IntMatrix(v * len(row_subsets), width, tuple(out)))
+        row_subsets = col_subsets
 
     return ChainComplex(lengths, tuple(diffs), row)
 

@@ -116,6 +116,12 @@ class E2Route(Enum):
 def _row_homology(
     mats: tuple[IntMatrix, ...], row: CoefficientRow
 ) -> tuple[FinAbGroup, ...]:
+    """SNF-route homology of one row, keyed on what its complex is built from.
+
+    ``_build_page`` passes the adjacency matrices, reduced mod 2 for the
+    mod-2 row: that complex reads nothing else, and adjacency entries are
+    even, so every spec of one rank shares it.  The key never holds h or k.
+    """
     return homology_all(koszul_complex(mats, row))
 
 
@@ -147,7 +153,10 @@ def _build_page(
     k = len(mats)
     period, schedule = involution_row_schedule(involution, part is Part.COMPLEX)
     homology = _row_homology if route is E2Route.SNF else _gcd_row_homology
-    rows = {tag: homology(mats, tag) for tag in set(schedule.values())}
+    rows = {
+        tag: homology(tuple(m.mod(2) for m in mats) if tag is CoefficientRow.MOD2 else mats, tag)
+        for tag in set(schedule.values())
+    }
     zero_row = (ZERO_GROUP,) * (k + 1)
     by_q = [rows[schedule[q]] if q in schedule else zero_row for q in range(period)]
     return E2Page(

@@ -484,3 +484,21 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+def test_echoed_values_are_capped_and_keep_the_field():
+    huge_involution = {"colors": [{"kind": "T", "size": 2}], "involution": "x" * 10**6}
+    huge_size = {"colors": [{"kind": "T", "size": [2] * 200_000}]}
+    for doc, field in [
+        (huge_involution, "spec.involution"),
+        (huge_size, "spec.colors[0].size"),
+        ({"instances": [huge_size]}, "instances[0].colors[0].size"),
+    ]:
+        result = run(_job("compute", doc))
+        assert result.exit_code == EXIT_INPUT
+        assert result.output.startswith(f"input error: {field}: expected ")
+        assert len(result.output.encode()) < 300, len(result.output)
+    swept = run(_job("sweep", {"colors": [{"kind": "T", "size": [2] * 200_000}]}))
+    assert swept.exit_code == EXIT_INPUT
+    assert swept.output.startswith("input error: colors[0].size: expected an integer or [lo, hi]")
+    assert len(swept.output.encode()) < 300
